@@ -12,7 +12,8 @@ from ._version import __version__
 from .baselines import (run_fista, run_linear_cg, run_nonlinear_cg,
                         run_ssf_iteration, run_steepest_descent)
 from .core import (CallableObjective, CompositeObjective, Counters,
-                   DenseOperator, LinearOperator, NewtonUnavailableError,
+                   DenseOperator, LinearLossObjective, LinearOperator,
+                   NewtonUnavailableError,
                    Objective, check_gradient, power_iteration_sq_norm,
                    seeded_rng, soft_threshold)
 from .directions import (DirectionKind, OrthState, dir_gradient, dir_newton,
@@ -33,7 +34,8 @@ __all__ = [
     "kernel_backend",
     # core
     "Counters", "seeded_rng", "soft_threshold", "Objective",
-    "CallableObjective", "CompositeObjective", "LinearOperator",
+    "CallableObjective", "CompositeObjective", "LinearLossObjective",
+    "LinearOperator",
     "DenseOperator", "NewtonUnavailableError", "check_gradient",
     "power_iteration_sq_norm",
     # problems

@@ -3,7 +3,9 @@
 Everything a solver touches goes through this module. Objectives expose
 value/grad/hvp/hessian_solve behind evaluation counters; linear operators
 count every apply/adjoint on a shared matvec counter, which is the primary
-cost axis of the benchmarks. ``CompositeObjective`` is the least-squares
+cost axis of the benchmarks. ``LinearLossObjective`` marks objectives of
+the form sum_i phi((A x)_i) + 1/2 sum_j q_j x_j^2, whose subspace solve
+runs on cached products. ``CompositeObjective`` is the least-squares
 plus L1 objective
 
     f(x) = ||A x - b||^2 + mu * ||x||_1
@@ -25,6 +27,7 @@ __all__ = [
     "Counters",
     "Objective",
     "CallableObjective",
+    "LinearLossObjective",
     "LinearOperator",
     "DenseOperator",
     "CompositeObjective",
@@ -194,6 +197,32 @@ class CallableObjective(Objective):
         if self._fn_hsolve is None:
             raise NewtonUnavailableError("newton direction unavailable")
         return self._fn_hsolve(x, rhs)
+
+
+class LinearLossObjective(Objective):
+    """f(x) = sum_i phi((A x)_i) + 1/2 sum_j q_j x_j^2.
+
+    Subclasses set ``linear_map`` (A, a counted :class:`LinearOperator` on
+    the objective's own counters) and ``quad_diag`` (q), and implement the
+    elementwise loss phi and its first and second derivatives. With them
+    the subspace solve works on the cached products A @ D alone; the
+    full-space value/grad/hvp hooks stay the subclass's own.
+    """
+
+    linear_map = None
+    quad_diag = None
+
+    @property
+    def capabilities(self):
+        return super().capabilities | {"linear_loss"}
+
+    def loss(self, z):
+        """Elementwise phi at z = A x."""
+        raise NotImplementedError
+
+    def loss_derivatives(self, z):
+        """Elementwise (phi', phi'') at z = A x."""
+        raise NotImplementedError
 
 
 class LinearOperator:

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CompositeObjective, DenseOperator, Objective, seeded_rng
+from .core import (CompositeObjective, DenseOperator, LinearLossObjective,
+                   LinearOperator, seeded_rng)
 
 __all__ = [
     "GroundTruth",
@@ -185,17 +186,39 @@ def make_l1_ls(m, n, seed, mu=1e-6, kappa=6.0, noise=0.01):
     return obj
 
 
-class ExpSquaresObjective(Objective):
+class _OnesRow(LinearOperator):
+    """The 1 x n all-ones row: apply sums, adjoint broadcasts."""
+
+    def _apply(self, x):
+        return np.sum(x, keepdims=True)
+
+    def _adjoint(self, y):
+        return np.full(self.cols, y[0])
+
+
+class ExpSquaresObjective(LinearLossObjective):
     """f(x) = exp(-sum x) + (1/2) sum_j j^2 x_j^2 (j = 1..n).
 
     Smooth, strictly convex, with Hessian exp(-sum x) * ones ones^T +
     diag(j^2); the rank-one structure gives a closed-form Hessian solve.
+    As a linear loss, A is the all-ones row, phi(t) = exp(-t) and q = j^2.
     Values with sum(x) < -700 would overflow the exponential and raise.
     """
 
     def __init__(self, n):
         super().__init__(n)
         self.j2 = np.arange(1.0, n + 1.0) ** 2
+        self.quad_diag = self.j2
+        self.linear_map = _OnesRow(1, n, self.counters)
+
+    def loss(self, z):
+        if z[0] < -700.0:
+            raise OverflowError("exponent overflow")
+        return np.exp(-z)
+
+    def loss_derivatives(self, z):
+        e = self.loss(z)
+        return -e, e
 
     def _exp_term(self, x):
         s = float(np.sum(x))
@@ -262,14 +285,15 @@ def make_expsquares(n):
     return obj
 
 
-class SvmSquaredHinge(Objective):
+class SvmSquaredHinge(LinearLossObjective):
     """Squared-hinge SVM primal:
 
         f(w) = 0.5 ||w||^2 + C * sum_i max(0, 1 - y_i x_i . w)^2
 
     Convex and differentiable with a piecewise-linear gradient; the
     generalized Hessian I + 2C X_act^T X_act (active margin rows) backs the
-    hvp used by Newton-type solvers.
+    hvp used by Newton-type solvers. As a linear loss, A = X (the rows,
+    not copied), phi_i(t) = C max(0, 1 - y_i t)^2 and q = 1.
     """
 
     def __init__(self, x_rows, y, c_penalty):
@@ -279,6 +303,19 @@ class SvmSquaredHinge(Objective):
         self.x_rows = x_rows
         self.y = y
         self.c_penalty = float(c_penalty)
+        self.quad_diag = np.ones(self.dim)
+        self.linear_map = DenseOperator(x_rows, self.counters)
+
+    def loss(self, z):
+        viol = np.maximum(0.0, 1.0 - self.y * z)
+        return self.c_penalty * (viol * viol)
+
+    def loss_derivatives(self, z):
+        # the second derivative is the generalized one of the hvp: 2C on
+        # the active margin rows
+        viol = np.maximum(0.0, 1.0 - self.y * z)
+        return (-2.0 * self.c_penalty) * (self.y * viol), \
+            (2.0 * self.c_penalty) * (viol > 0.0)
 
     def margins(self, w):
         return self.y * (self.x_rows @ w)

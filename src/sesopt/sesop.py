@@ -197,7 +197,11 @@ def _run_smooth(obj, x0, cfg, direction, callback, aux_metric=None):
     counters.reset()
     t0 = time.perf_counter()
 
+    # linear-loss objectives carry z = A x and cache the frame's products
+    op = obj.linear_map if "linear_loss" in obj.capabilities else None
     x = np.array(x0, dtype=np.float64)
+    z = None if op is None else op.apply(x)
+    z_start = z
     f, g = obj.value_and_grad(x)
     f_prev = f
     gnorm = float(np.linalg.norm(g))
@@ -247,17 +251,22 @@ def _run_smooth(obj, x0, cfg, direction, callback, aux_metric=None):
         if orth is not None:
             wdir, tstep = dir_orth_update(orth, x, g)
             cols.append((wdir, "orth_wgrad", None))
-            cols.append((tstep, "orth_tstep", None))
+            cols.append((tstep, "orth_tstep", None if z is None else z - z_start))
 
-        frame = build_frame(x, cols, hist, cfg.history)
+        frame = build_frame(x, cols, hist, cfg.history, op=op,
+                            with_products=op is not None,
+                            reuse_products=cfg.reuse_products)
         res = subspace_minimize(obj, frame, inner_tol=cfg.inner_tol,
-                                max_inner=cfg.max_inner)
+                                max_inner=cfg.max_inner, residual=z)
         _note(events, res.events)
         if not np.any(res.alpha):
             status = "stalled"
             break
-        hist.push_step(res.x - x)
-        x = res.x
+        if z is None:
+            hist.push_step(res.x - x)
+        else:  # D alpha and A D alpha, free of the cancellation in x and z
+            hist.push_step(frame.basis @ res.alpha, frame.products @ res.alpha)
+        x, z = res.x, res.residual
         f, g = obj.value_and_grad(x)
         gnorm = float(np.linalg.norm(g))
         k += 1

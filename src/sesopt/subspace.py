@@ -13,6 +13,9 @@ applications; the accepted step's product A*(D alpha) then comes free as a
 linear combination and can seed the history cache of the next iteration.
 The least-squares part is handled in the reduced coordinates, and each
 Newton step makes a fixed, small number of passes over the full space.
+Linear-loss objectives (sum phi(A x) + x^T Q x / 2) take the same route
+with no pass over the full space at all: their Newton steps need only
+A*D, A*x at the base and the k x k matrix D^T Q D.
 """
 
 from __future__ import annotations
@@ -205,7 +208,10 @@ def subspace_minimize(obj, frame, alpha0=None, inner_tol=1e-10, max_inner=20,
     Composite objectives take the cached-products path: the reduced
     gradient and Hessian are built from A*D, the residual at the base and
     the smoothed L1 curvature, so no operator is applied during the inner
-    loop. Other objectives use value/grad/hvp at full-space points.
+    loop. Linear-loss objectives do the same from A*D and z = A x at the
+    base. Both need ``frame.products``; ``residual`` is A x - b or A x at
+    the base (applied once when omitted) and the result carries it at the
+    new point. Other objectives use value/grad/hvp at full-space points.
 
     The exact composite value is re-checked at the end and the step is
     shrunk if smoothing ever made it an ascent step, so the returned f
@@ -221,6 +227,9 @@ def subspace_minimize(obj, frame, alpha0=None, inner_tol=1e-10, max_inner=20,
     if isinstance(obj, CompositeObjective):
         return _minimize_composite(obj, frame, alpha, inner_tol, max_inner,
                                    residual, events)
+    if "linear_loss" in obj.capabilities:
+        return _minimize_linear_loss(obj, frame, alpha, inner_tol, max_inner,
+                                     residual, events)
 
     if "hvp" not in obj.capabilities:
         raise ValueError("subspace_minimize needs hvp for smooth objectives")
@@ -235,6 +244,26 @@ def subspace_minimize(obj, frame, alpha0=None, inner_tol=1e-10, max_inner=20,
     def phi_grad(a):
         return d.T @ obj.grad(x0 + d @ a)
 
+    def hessian(a):
+        xa = x0 + d @ a
+        return d.T @ np.column_stack([obj.hvp(xa, d[:, j]) for j in range(m)])
+
+    alpha, f_cur, it, g_norm = _damped_newton(
+        phi, phi_grad, hessian, alpha, inner_tol, max_inner, events)
+    x_new = x0 + d @ alpha
+    return SubspaceResult(alpha=alpha, x=x_new, f=f_cur, residual=None,
+                          inner_iters=it, grad_norm=g_norm, events=events)
+
+
+def _damped_newton(phi, phi_grad, hessian, alpha, inner_tol, max_inner,
+                   events):
+    """Damped Newton on a smooth reduced objective; (alpha, f, iters, |g|).
+
+    Never leaves the sublevel set of alpha = 0: a result above it is reset
+    to zero ("no_progress"), and a zero result is followed by the
+    first-column fallback.
+    """
+    m = alpha.size
     f_base = phi(np.zeros(m))
     f_cur = phi(alpha) if np.any(alpha) else f_base
     g = phi_grad(alpha)
@@ -242,9 +271,7 @@ def subspace_minimize(obj, frame, alpha0=None, inner_tol=1e-10, max_inner=20,
     tol = inner_tol * (1.0 + g_norm)
     it = 0
     while it < max_inner and g_norm > tol:
-        xa = x0 + d @ alpha
-        hess = d.T @ np.column_stack([obj.hvp(xa, d[:, j]) for j in range(m)])
-        delta, slope = _newton_step(hess, g)
+        delta, slope = _newton_step(hessian(alpha), g)
         cand, f_new = _armijo_reduced(phi, alpha, delta, f_cur, slope)
         if cand is None:
             break
@@ -265,8 +292,49 @@ def subspace_minimize(obj, frame, alpha0=None, inner_tol=1e-10, max_inner=20,
         if cand is not None:
             alpha, f_cur = cand, f_new
         events.append(event)
+    return alpha, f_cur, it, g_norm
+
+
+def _minimize_linear_loss(obj, frame, alpha, inner_tol, max_inner, z0,
+                          events):
+    """Damped Newton over the frame of a linear-loss objective on cached
+    products only.
+
+    With f(x) = sum phi(A x) + x^T Q x / 2, P = A D and z = z0 + P alpha,
+    the reduced objective is sum phi(z) + q0 + c^T alpha + alpha^T G
+    alpha / 2, where G = D^T Q D, c = D^T Q x0 and q0 = x0^T Q x0 / 2, so
+    its gradient P^T phi'(z) + c + G alpha and Hessian P^T diag(phi''(z)) P
+    + G need no pass over the full space. The result carries z at the new
+    point as its residual, and its f is valued there from z and x.
+    """
+    if frame.products is None:
+        raise ValueError("linear-loss subspace minimization needs frame products")
+    d, p, x0 = frame.basis, frame.products, frame.base
+    q = obj.quad_diag
+    z0 = obj.linear_map.apply(x0) if z0 is None else np.asarray(z0, dtype=np.float64)
+    qd = q[:, None] * d
+    gram = d.T @ qd
+    c = x0 @ qd
+    q0 = 0.5 * float(x0 @ (q * x0))
+
+    def phi(a):
+        return (float(np.sum(obj.loss(z0 + p @ a))) + q0 + float(c @ a)
+                + 0.5 * float(a @ (gram @ a)))
+
+    def phi_grad(a):
+        d1, _ = obj.loss_derivatives(z0 + p @ a)
+        return d1 @ p + c + gram @ a
+
+    def hessian(a):
+        _, d2 = obj.loss_derivatives(z0 + p @ a)
+        return p.T @ (d2[:, None] * p) + gram
+
+    alpha, _, it, g_norm = _damped_newton(
+        phi, phi_grad, hessian, alpha, inner_tol, max_inner, events)
     x_new = x0 + d @ alpha
-    return SubspaceResult(alpha=alpha, x=x_new, f=f_cur, residual=None,
+    z_new = z0 + p @ alpha
+    f_new = float(np.sum(obj.loss(z_new))) + 0.5 * float(x_new @ (q * x_new))
+    return SubspaceResult(alpha=alpha, x=x_new, f=f_new, residual=z_new,
                           inner_iters=it, grad_norm=g_norm, events=events)
 
 

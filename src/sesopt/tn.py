@@ -278,6 +278,11 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, include_prev_grad=True,
     {new outer displacement from the truncation point, new gradient},
     solved exactly and counted as one step.
 
+    Least-squares and linear-loss objectives carry A x (less b) across
+    iterations and keep the products of the history steps, so each outer
+    step applies A once per fresh frame column, counted as matvecs, and
+    the frame solve makes no hvps.
+
     ``trace_inner`` additionally emits one row per inner step carrying the
     running model value (exact objective values on quadratics), so traces
     align row-by-row with plain CG on least-squares problems.
@@ -289,7 +294,11 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, include_prev_grad=True,
         raise TypeError("truncated Newton needs Hessian-vector products")
     obj.counters.reset()
     t0 = time.perf_counter()
-    op = obj.op if is_comp else None
+    # r carries A x - b (composite) or A x (linear loss) across iterations
+    if is_comp:
+        op = obj.op
+    else:
+        op = obj.linear_map if "linear_loss" in obj.capabilities else None
 
     x = np.array(x0, dtype=np.float64)
     if is_comp:
@@ -297,7 +306,7 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, include_prev_grad=True,
         f = obj.value_from_residual(r, x)
         g = 2.0 * op.adjoint(r)
     else:
-        r = None
+        r = None if op is None else op.apply(x)
         f, g = obj.value_and_grad(x)
     gnorm0 = float(np.linalg.norm(g))
     gnorm = gnorm0
@@ -356,7 +365,7 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, include_prev_grad=True,
         if include_prev_grad and prev_grad is not None:
             cols.append((prev_grad, "grad_prev", None))
         frame = build_frame(x, cols, hist, outer_history, op=op,
-                            with_products=is_comp)
+                            with_products=op is not None)
         res = subspace_minimize(obj, frame, inner_tol=inner_tol,
                                 max_inner=max_inner, residual=r)
         for name in res.events:
@@ -365,15 +374,13 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, include_prev_grad=True,
             status = "stalled"
             break
         cum += 1  # the subspace step advances like one more CG step
-        hist.push_step(res.x - x, None if r is None else res.residual - r)
+        if is_comp or op is None:
+            hist.push_step(res.x - x, None if r is None else res.residual - r)
+        else:  # D alpha and A D alpha, free of the cancellation in x and z
+            hist.push_step(frame.basis @ res.alpha, frame.products @ res.alpha)
         prev_grad = g
-        if is_comp:
-            r = res.residual
-            f = res.f
-            g_new = 2.0 * op.adjoint(r)
-        else:
-            f = res.f
-            g_new = obj.grad(res.x)
+        r, f = res.residual, res.f
+        g_new = 2.0 * op.adjoint(r) if is_comp else obj.grad(res.x)
         warm = (res.x - st.x_last, g_new.copy())
         x, g = res.x, g_new
         gnorm = float(np.linalg.norm(g))

@@ -3,8 +3,8 @@ import pytest
 
 from sesopt import (CallableObjective, CompositeObjective, DenseOperator,
                     EmptySubspaceError, HistoryBuffer, LineSearchError,
-                    build_frame, line_search_backtracking, seeded_rng,
-                    subspace_minimize)
+                    build_frame, line_search_backtracking, make_expsquares,
+                    make_svm_smooth, seeded_rng, subspace_minimize)
 
 from conftest import small_l1, small_quadratic
 
@@ -186,6 +186,82 @@ def test_composite_first_column_fallback_when_newton_makes_no_move():
     assert res.f < obj.value_from_residual(r0, x0)
     np.testing.assert_allclose(res.x, x0 + res.alpha[0] * frame.basis[:, 0],
                                rtol=1e-12)
+
+
+def _hvp_newton_oracle(obj, frame, tol=1e-14, max_iters=100):
+    """Minimizer over the frame by damped Newton on the full-space value,
+    gradient and hvp, the reduced system assembled column by column."""
+    d, x0 = frame.basis, frame.base
+    alpha = np.zeros(frame.size)
+    f = obj.value(x0)
+    for _ in range(max_iters):
+        x = x0 + d @ alpha
+        g = d.T @ obj.grad(x)
+        if np.linalg.norm(g) <= tol:
+            break
+        h = d.T @ np.column_stack([obj.hvp(x, d[:, j]) for j in range(frame.size)])
+        delta = np.linalg.solve(h, -g)
+        t = 1.0
+        while obj.value(x0 + d @ (alpha + t * delta)) > f + 1e-4 * t * (g @ delta):
+            t *= 0.5
+        alpha = alpha + t * delta
+        f = obj.value(x0 + d @ alpha)
+    return alpha
+
+
+@pytest.mark.parametrize("kind", ["svm", "expsquares"])
+def test_linear_loss_solve_matches_hvp_newton_oracle(kind):
+    rng = seeded_rng(80)
+    if kind == "svm":
+        obj = make_svm_smooth(60, 25, seed=5, violation_frac=0.1)
+        x0 = 0.3 * rng.standard_normal(obj.dim)
+        a = obj.x_rows
+    else:
+        obj = make_expsquares(30)
+        x0 = 0.1 * rng.standard_normal(obj.dim)
+        a = np.ones((1, obj.dim))
+    step = rng.standard_normal(obj.dim)
+    hist = HistoryBuffer(2)
+    hist.push_step(step, a @ step)  # carried product, made outside the counters
+    cols = [(-obj.grad(x0), "grad", None),
+            (rng.standard_normal(obj.dim), "noise", None)]
+    obj.counters.reset()
+    z0 = a @ x0
+    frame = build_frame(x0, cols, hist, 2, op=obj.linear_map, with_products=True)
+    assert frame.tags == ["grad", "noise", "step-1"]
+    assert obj.counters.matvecs == 2  # the fresh columns only
+    res = subspace_minimize(obj, frame, residual=z0, inner_tol=1e-14)
+    assert obj.counters.matvecs == 2 and obj.counters.hvps == 0
+    assert res.inner_iters >= 1
+
+    alpha_star = _hvp_newton_oracle(obj, frame)
+    np.testing.assert_allclose(res.alpha, alpha_star, rtol=1e-10)
+    np.testing.assert_allclose(res.x, x0 + frame.basis @ alpha_star, rtol=1e-10)
+    np.testing.assert_allclose(res.residual, a @ res.x, rtol=1e-12, atol=1e-12)
+    assert res.f == pytest.approx(obj.value(res.x), rel=1e-12)
+    if kind == "svm":
+        # the solve crossed the hinge: rows on both sides at its start and end
+        for w in (x0, res.x):
+            active = int(np.sum(obj.margins(w) < 1.0))
+            assert 0 < active < obj.y.size
+
+
+def test_linear_loss_trial_point_past_the_exponent_guard_raises():
+    # along e1 the squares pull x1 from 5000 towards -5000: the first Newton
+    # trial point has sum(x) near -2500
+    obj = make_expsquares(2)
+    x0 = np.array([5000.0, -5000.0])
+    frame = build_frame(x0, [(np.array([1.0, 0.0]), "e1", None)],
+                        op=obj.linear_map, with_products=True)
+    with pytest.raises(OverflowError):
+        subspace_minimize(obj, frame, residual=obj.linear_map.apply(x0))
+
+
+def test_linear_loss_needs_products():
+    obj = make_expsquares(5)
+    frame = build_frame(np.zeros(5), [(np.ones(5), "d", None)])
+    with pytest.raises(ValueError, match="products"):
+        subspace_minimize(obj, frame)
 
 
 def test_smooth_path_requires_hvp():

@@ -3,8 +3,9 @@ import pytest
 
 from sesopt import (CallableObjective, HistoryBuffer, InnerCgState,
                     QuadraticModel, build_frame, inner_cg, make_expsquares,
-                    make_quadratic_ls, run_linear_cg, run_sesop_tn,
-                    run_tn_classic, seeded_rng)
+                    make_quadratic_ls, make_svm_smooth, run_linear_cg,
+                    run_sesop_tn, run_tn_classic, seeded_rng)
+from sesopt.bench import run_solver
 
 from conftest import assert_monotone
 
@@ -244,3 +245,46 @@ def test_degenerate_inner_state_still_builds_a_frame():
         cols.append((st.last_step, "tn_last_dir", None))
     frame = build_frame(np.zeros(12), cols, HistoryBuffer(2), 2)
     assert frame.size == 1 and frame.tags == ["tn_model_grad"]
+
+
+# -- the linear-loss subspace path ----------------------------------------------
+
+def _callable_twin(obj):
+    """The same objective behind plain callables: no products to cache."""
+    return CallableObjective(obj.dim, value=obj._value, grad=obj._grad,
+                             hvp=obj._hvp)
+
+
+def test_sesop_tn_cached_products_follow_the_hvp_path_on_svm():
+    svm = make_svm_smooth(150, 60, seed=8, violation_frac=0.1)
+    twin = _callable_twin(svm)
+    x0 = np.zeros(svm.dim)
+    for l_max in (1, 10):
+        _, tr = run_sesop_tn(svm, x0, l_max=l_max, grad_tol=0.0, max_iters=15)
+        _, tr_h = run_sesop_tn(twin, x0, l_max=l_max, grad_tol=0.0, max_iters=15)
+        assert tr.final.iter == tr_h.final.iter == 15
+        assert tr.final.hvps < tr_h.final.hvps  # no hvps in the frame solve
+        assert tr_h.final.matvecs == 0 < tr.final.matvecs
+        np.testing.assert_array_equal(tr.column("cum_steps"),
+                                      tr_h.column("cum_steps"))
+        np.testing.assert_allclose(tr.column("f_value"), tr_h.column("f_value"),
+                                   rtol=1e-10, atol=0.0)
+
+
+def test_sesop_tn_matvec_budget_binds_on_linear_loss_problems():
+    svm = make_svm_smooth(150, 60, seed=8, violation_frac=0.1)
+    _, tr = run_solver("sesop_tn:l_max=10", svm, grad_tol=0.0, max_iters=500,
+                       max_matvecs=30)
+    assert tr.header["status"] == "max_matvecs"
+    assert 30 <= tr.final.matvecs < 30 + 10  # one frame's products past it
+
+
+def test_sesop_tn_carried_products_stay_true_to_the_iterate():
+    # A x and the history products are carried, never recomputed; a run far
+    # past its target must still report f at the point it returns
+    obj = make_expsquares(200)
+    x, tr = run_sesop_tn(obj, np.zeros(200), l_max=1, grad_tol=1e-12,
+                         max_iters=3000)
+    assert tr.final.iter > 300
+    assert tr.final.f_value == pytest.approx(obj.value(x), rel=1e-14)
+    assert min(tr.column("f_minus_fopt")) >= -1e-14
