@@ -251,7 +251,7 @@ def _exact_quadratic_step(obj, x, g, d):
 
 
 def run_steepest_descent(obj, x0, grad_tol=1e-8, f_tol=0.0, max_iters=1000,
-                         exact_line_search=False, callback=None):
+                         exact_line_search=False, max_matvecs=None, callback=None):
     """Gradient descent with Armijo backtracking or exact quadratic steps."""
     obj.counters.reset()
     t0 = time.perf_counter()
@@ -272,6 +272,9 @@ def run_steepest_descent(obj, x0, grad_tol=1e-8, f_tol=0.0, max_iters=1000,
             status = "stationary"
             break
         if k >= max_iters:
+            break
+        if max_matvecs is not None and obj.counters.matvecs >= max_matvecs:
+            status = "max_matvecs"
             break
         f_prev = f
         d = -g
@@ -300,7 +303,7 @@ def run_steepest_descent(obj, x0, grad_tol=1e-8, f_tol=0.0, max_iters=1000,
 
 
 def run_nonlinear_cg(obj, x0, grad_tol=1e-8, f_tol=0.0, max_iters=1000,
-                     exact_line_search=False, callback=None):
+                     exact_line_search=False, max_matvecs=None, callback=None):
     """Nonlinear conjugate gradients, Polak-Ribiere+ variant.
 
     beta = max(0, g_new.(g_new - g) / g.g), with a steepest-descent restart
@@ -327,6 +330,9 @@ def run_nonlinear_cg(obj, x0, grad_tol=1e-8, f_tol=0.0, max_iters=1000,
             status = "stationary"
             break
         if k >= max_iters:
+            break
+        if max_matvecs is not None and obj.counters.matvecs >= max_matvecs:
+            status = "max_matvecs"
             break
         f_prev = f
         if float(g @ d) >= 0.0:

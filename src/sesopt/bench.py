@@ -98,10 +98,12 @@ def run_solver(spec, obj, x0=None, max_iters=1000, grad_tol=1e-8,
     elif name == "sd":
         x, trace = run_steepest_descent(
             obj, x0, grad_tol=grad_tol, max_iters=max_iters,
+            max_matvecs=max_matvecs,
             exact_line_search=bool(_as_int(opts, "exact", 0)))
     elif name == "nlcg":
         x, trace = run_nonlinear_cg(
             obj, x0, grad_tol=grad_tol, max_iters=max_iters,
+            max_matvecs=max_matvecs,
             exact_line_search=bool(_as_int(opts, "exact", 0)))
     elif name == "ista":
         x, trace = run_ssf_iteration(
@@ -123,7 +125,8 @@ def run_solver(spec, obj, x0=None, max_iters=1000, grad_tol=1e-8,
     elif name == "tn":
         x, trace = run_tn_classic(
             obj, x0, l_max=_as_int(opts, "l_max", 10), grad_tol=grad_tol,
-            max_iters=max_iters, max_cum_steps=max_cum_steps)
+            max_iters=max_iters, max_cum_steps=max_cum_steps,
+            max_matvecs=max_matvecs)
     else:  # sesop_tn
         x, trace = run_sesop_tn(
             obj, x0, l_max=_as_int(opts, "l_max", 10),

@@ -294,6 +294,13 @@ class SvmSquaredHinge(LinearLossObjective):
     generalized Hessian I + 2C X_act^T X_act (active margin rows) backs the
     hvp used by Newton-type solvers. As a linear loss, A = X (the rows,
     not copied), phi_i(t) = C max(0, 1 - y_i t)^2 and q = 1.
+
+    The margins of the last point seen are cached, keyed on the point's
+    contents, together with its active rows once an hvp has copied them.
+    A truncated Newton step values, differentiates and takes all its
+    Hessian products at one point, so they share one pass over X and one
+    copy of the active rows. Results are bitwise those of recomputing.
+    The cache makes an instance unsafe to share between threads.
     """
 
     def __init__(self, x_rows, y, c_penalty):
@@ -305,6 +312,9 @@ class SvmSquaredHinge(LinearLossObjective):
         self.c_penalty = float(c_penalty)
         self.quad_diag = np.ones(self.dim)
         self.linear_map = DenseOperator(x_rows, self.counters)
+        self._at = None  # copy of the cached point
+        self._margins = None
+        self._active_rows = None
 
     def loss(self, z):
         viol = np.maximum(0.0, 1.0 - self.y * z)
@@ -318,7 +328,14 @@ class SvmSquaredHinge(LinearLossObjective):
             (2.0 * self.c_penalty) * (viol > 0.0)
 
     def margins(self, w):
-        return self.y * (self.x_rows @ w)
+        """y * (X w), read-only; recomputed only when w's contents change."""
+        if self._at is None or not np.array_equal(w, self._at):
+            # drop the old entry first: one copy of the active rows at most
+            self._at = self._margins = self._active_rows = None
+            margins = self.y * (self.x_rows @ w)
+            margins.flags.writeable = False
+            self._at, self._margins = np.array(w, dtype=np.float64), margins
+        return self._margins
 
     def hinge_sq_sum(self, w):
         viol = np.maximum(0.0, 1.0 - self.margins(w))
@@ -337,8 +354,10 @@ class SvmSquaredHinge(LinearLossObjective):
         return val, w - 2.0 * self.c_penalty * ((viol * self.y) @ self.x_rows)
 
     def _hvp(self, w, v):
-        active = (1.0 - self.margins(w)) > 0.0
-        xa = self.x_rows[active]
+        margins = self.margins(w)
+        if self._active_rows is None:
+            self._active_rows = self.x_rows[(1.0 - margins) > 0.0]
+        xa = self._active_rows
         return v + 2.0 * self.c_penalty * (xa.T @ (xa @ v))
 
 

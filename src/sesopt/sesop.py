@@ -74,7 +74,9 @@ def run_sesop(obj, x0, config=None, callback=None, aux_metric=None):
     Stops when the stationarity measure drops below grad_tol (composite:
     infinity norm of the surrogate step, absolute; smooth: gradient norm
     relative to the starting gradient), on relative f stagnation below
-    f_tol, or on the iteration / matvec budget.
+    f_tol, or on the iteration / matvec budget. It ends "stalled" when a
+    frame step leaves x unchanged in floating point (alpha = 0, or a step
+    below the last digit of every x_j).
 
     ``aux_metric`` is an optional (name, fn) pair; fn(x) is evaluated at
     every recorded iterate and stored in the trace's aux column.
@@ -180,10 +182,11 @@ def _run_composite(comp, x0, cfg, direction, callback, aux_metric=None):
         res = subspace_minimize(comp, frame, inner_tol=cfg.inner_tol,
                                 max_inner=cfg.max_inner, residual=r)
         _note(events, res.events)
-        if not np.any(res.alpha):
-            status = "stalled"
+        step = res.x - x
+        if not np.any(res.alpha) or not step.any():
+            status = "stalled"  # no step, or one lost below x's last digit
             break
-        hist.push_step(res.x - x, res.residual - r)
+        hist.push_step(step, res.residual - r)
         x, r, f = res.x, res.residual, res.f
         k += 1
     _finish(trace, status, events)
@@ -259,11 +262,12 @@ def _run_smooth(obj, x0, cfg, direction, callback, aux_metric=None):
         res = subspace_minimize(obj, frame, inner_tol=cfg.inner_tol,
                                 max_inner=cfg.max_inner, residual=z)
         _note(events, res.events)
-        if not np.any(res.alpha):
-            status = "stalled"
+        step = res.x - x
+        if not np.any(res.alpha) or not step.any():
+            status = "stalled"  # no step, or one lost below x's last digit
             break
         if z is None:
-            hist.push_step(res.x - x)
+            hist.push_step(step)
         else:  # D alpha and A D alpha, free of the cancellation in x and z
             hist.push_step(frame.basis @ res.alpha, frame.products @ res.alpha)
         x, z = res.x, res.residual

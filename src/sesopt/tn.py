@@ -195,7 +195,7 @@ def _fopt(obj):
 
 
 def run_tn_classic(obj, x0, l_max=10, grad_tol=1e-8, f_tol=0.0, max_iters=500,
-                   max_cum_steps=None, callback=None):
+                   max_cum_steps=None, max_matvecs=None, callback=None):
     """Line-search truncated Newton; returns (x, trace).
 
     The cumulative-steps column counts inner CG steps only. The forcing
@@ -238,6 +238,9 @@ def run_tn_classic(obj, x0, l_max=10, grad_tol=1e-8, f_tol=0.0, max_iters=500,
         if max_cum_steps is not None and cum >= max_cum_steps:
             status = "max_steps"
             break
+        if max_matvecs is not None and obj.counters.matvecs >= max_matvecs:
+            status = "max_matvecs"
+            break
         f_prev = f
         model = QuadraticModel(obj, x, f, g)
         st = inner_cg(model, l_max, _forcing(gnorm, gnorm0))
@@ -276,7 +279,8 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, include_prev_grad=True,
     point, last inner direction, previous outer steps, previous gradient}.
     The next inner run warm-starts from the two directions
     {new outer displacement from the truncation point, new gradient},
-    solved exactly and counted as one step.
+    solved exactly and counted as one step. The run ends "stalled" when a
+    subspace step leaves x unchanged in floating point.
 
     Least-squares and linear-loss objectives carry A x (less b) across
     iterations and keep the products of the history steps, so each outer
@@ -370,12 +374,13 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, include_prev_grad=True,
                                 max_inner=max_inner, residual=r)
         for name in res.events:
             events[name] = events.get(name, 0) + 1
-        if not np.any(res.alpha):
-            status = "stalled"
+        step = res.x - x
+        if not np.any(res.alpha) or not step.any():
+            status = "stalled"  # no step, or one lost below x's last digit
             break
         cum += 1  # the subspace step advances like one more CG step
         if is_comp or op is None:
-            hist.push_step(res.x - x, None if r is None else res.residual - r)
+            hist.push_step(step, None if r is None else res.residual - r)
         else:  # D alpha and A D alpha, free of the cancellation in x and z
             hist.push_step(frame.basis @ res.alpha, frame.products @ res.alpha)
         prev_grad = g

@@ -113,6 +113,59 @@ def test_svm_violations_and_gradient():
     assert float(v @ p.hvp(w, v)) >= float(v @ v) - 1e-12  # I + PSD part
 
 
+def _svm_reference(x_rows, y, c, w, v):
+    """Value, gradient and hvp from the SVM's data alone, nothing cached."""
+    margins = y * (x_rows @ w)
+    viol = np.maximum(0.0, 1.0 - margins)
+    val = 0.5 * float(w @ w) + c * float(viol @ viol)
+    g = w - 2.0 * c * ((viol * y) @ x_rows)
+    xa = x_rows[(1.0 - margins) > 0.0]
+    return val, g, v + 2.0 * c * (xa.T @ (xa @ v))
+
+
+def test_svm_cached_products_are_bitwise_the_uncached_ones():
+    p = make_svm_smooth(120, 40, seed=4, violation_frac=0.1)
+    x_rows, y, c = p.x_rows.copy(), p.y.copy(), p.c_penalty
+    rng = seeded_rng(13)
+    w1, w2 = 0.3 * rng.standard_normal(40), 0.3 * rng.standard_normal(40)
+    buf = w1.copy()
+    strided = np.zeros((40, 3))
+    strided[:, 1] = w2
+
+    def check(w, ops):
+        w_now = np.array(w)  # the contents at the time of the call
+        v = rng.standard_normal(40)
+        val, g, hv = _svm_reference(x_rows, y, c, w_now, v)
+        assert 0 < int(np.sum(y * (x_rows @ w_now) < 1.0)) < 120  # both sides
+        for op in ops:
+            if op == "value":
+                assert p.value(w) == val
+            elif op == "grad":
+                np.testing.assert_array_equal(p.grad(w), g)
+            elif op == "value_and_grad":
+                f_w, g_w = p.value_and_grad(w)
+                assert f_w == val
+                np.testing.assert_array_equal(g_w, g)
+            else:
+                before = p.counters.hvps
+                np.testing.assert_array_equal(p.hvp(w, v), hv)
+                assert p.counters.hvps == before + 1
+
+    check(w1, ["hvp", "value", "hvp", "grad", "hvp"])  # hvp before any value
+    check(w2, ["value", "grad", "hvp", "hvp", "value_and_grad"])
+    check(w1, ["value_and_grad", "hvp", "hvp"])  # revisit after eviction
+    check(w1.copy(), ["hvp", "value"])  # same contents, another array
+    check(buf, ["value", "hvp", "grad"])
+    buf[[3, 17]] += 0.4  # same array object, new contents
+    check(buf, ["hvp", "value", "grad", "hvp"])
+    check(strided[:, 1], ["hvp", "value_and_grad", "hvp"])  # a strided view
+    check(w2, ["hvp", "grad"])  # the view's contents, contiguous
+    buf[:] = w2
+    check(buf, ["grad", "hvp", "value"])
+    with pytest.raises(ValueError):
+        p.margins(buf)[0] = 0.0  # the cached margins are read-only
+
+
 # -- ProblemSpec --------------------------------------------------------------
 
 def test_spec_round_trip():

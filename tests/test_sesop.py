@@ -173,3 +173,17 @@ def test_smooth_path_on_expsquares_gradient():
     gap = trace.final.f_value - obj.ground_truth.f_opt
     assert gap <= 1e-9
     assert_monotone(trace.column("f_value"))
+
+
+def test_smooth_sesop_stalls_once_the_iterate_stops_moving():
+    # behind plain callables the frame solve takes the hvp path; on
+    # expsquares n=50 it reaches a bitwise fixed point with alpha != 0
+    e = make_expsquares(50)
+    obj = CallableObjective(50, value=e._value, grad=e._grad, hvp=e._hvp)
+    seen = []
+    cfg = SesopConfig(history=3, grad_tol=1e-14, max_iters=1500)
+    _, tr = run_sesop(obj, np.zeros(50), cfg,
+                      callback=lambda k, z: seen.append(z))
+    assert tr.header["status"] == "stalled"
+    assert len(seen) == tr.final.iter + 1 > 100
+    assert not any(np.array_equal(a, b) for a, b in zip(seen, seen[1:]))

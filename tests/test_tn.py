@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from sesopt import (CallableObjective, HistoryBuffer, InnerCgState,
-                    QuadraticModel, build_frame, inner_cg, make_expsquares,
-                    make_quadratic_ls, make_svm_smooth, run_linear_cg,
-                    run_sesop_tn, run_tn_classic, seeded_rng)
+from sesopt import (CallableObjective, DenseOperator, HistoryBuffer,
+                    InnerCgState, LinearLossObjective, QuadraticModel,
+                    build_frame, inner_cg, make_expsquares, make_quadratic_ls,
+                    make_svm_smooth, run_linear_cg, run_sesop_tn,
+                    run_tn_classic, seeded_rng)
 from sesopt.bench import run_solver
 
 from conftest import assert_monotone
@@ -288,3 +289,86 @@ def test_sesop_tn_carried_products_stay_true_to_the_iterate():
     assert tr.final.iter > 300
     assert tr.final.f_value == pytest.approx(obj.value(x), rel=1e-14)
     assert min(tr.column("f_minus_fopt")) >= -1e-14
+
+
+def test_sesop_tn_stalls_once_the_iterate_stops_moving():
+    # behind plain callables the frame solve takes the hvp path; on
+    # expsquares n=200 it reaches a bitwise fixed point with alpha != 0
+    e = make_expsquares(200)
+    obj = CallableObjective(200, value=e._value, grad=e._grad, hvp=e._hvp)
+    obj.ground_truth = e.ground_truth
+    seen = []
+    x, tr = run_sesop_tn(obj, np.zeros(200), l_max=1, grad_tol=1e-12,
+                         max_iters=1000, callback=lambda k, z: seen.append(z))
+    assert tr.header["status"] == "stalled"
+    assert tr.final.iter < 700
+    assert not any(np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
+    assert tr.final.f_minus_fopt <= 1e-8
+
+
+class _LinearLossCallable(LinearLossObjective, CallableObjective):
+    """Plain callables plus the linear-loss structure."""
+
+
+def _uncached_svm(svm):
+    """The SVM rebuilt from its data with formulas that cache nothing.
+
+    It keeps the linear-loss structure, so sesop_tn solves its frames on
+    the same cached-products path as the SVM itself.
+    """
+    x_rows, y, c = svm.x_rows.copy(), svm.y.copy(), svm.c_penalty
+
+    def viol(w):
+        return np.maximum(0.0, 1.0 - y * (x_rows @ w))
+
+    def value(w):
+        s = viol(w)
+        return 0.5 * float(w @ w) + c * float(s @ s)
+
+    def grad(w):
+        return w - 2.0 * c * ((viol(w) * y) @ x_rows)
+
+    def hvp(w, v):
+        xa = x_rows[(1.0 - y * (x_rows @ w)) > 0.0]
+        return v + 2.0 * c * (xa.T @ (xa @ v))
+
+    def loss(z):
+        s = np.maximum(0.0, 1.0 - y * z)
+        return c * (s * s)
+
+    def loss_derivatives(z):
+        s = np.maximum(0.0, 1.0 - y * z)
+        return (-2.0 * c) * (y * s), (2.0 * c) * (s > 0.0)
+
+    twin = _LinearLossCallable(svm.dim, value=value, grad=grad, hvp=hvp)
+    twin.linear_map = DenseOperator(x_rows, twin.counters)
+    twin.quad_diag = np.ones(svm.dim)
+    twin.loss, twin.loss_derivatives = loss, loss_derivatives
+    return twin
+
+
+def test_svm_traces_are_those_of_uncached_formulas():
+    svm = make_svm_smooth(150, 60, seed=8, violation_frac=0.1)
+    twin = _uncached_svm(svm)
+    x0 = np.zeros(svm.dim)
+    for run in (lambda o: run_tn_classic(o, x0, l_max=10, grad_tol=0.0,
+                                         max_iters=12),
+                lambda o: run_sesop_tn(o, x0, l_max=10, grad_tol=0.0,
+                                       max_iters=15)):
+        _, tr = run(svm)
+        _, tr_u = run(twin)
+        assert tr.final.hvps > 3 * tr.final.iter  # several hvps per point
+        assert len(tr) == len(tr_u) > 10
+        for col in ("f_value", "stat_norm", "hvps", "matvecs", "cum_steps"):
+            np.testing.assert_array_equal(tr.column(col), tr_u.column(col))
+
+
+@pytest.mark.parametrize("spec", ["tn:l_max=5", "sd", "nlcg"])
+def test_newton_and_gradient_baselines_honour_the_matvec_budget(spec):
+    # least squares: an hvp is two matvecs (A, then A^T), a value one
+    obj = make_quadratic_ls(60, seed=12)
+    _, tr = run_solver(spec, obj, grad_tol=0.0, max_iters=5000,
+                       max_matvecs=150)
+    assert tr.header["status"] == "max_matvecs"
+    assert tr.records[-2].matvecs < 150 <= tr.final.matvecs
+    assert tr.final.matvecs >= 2 * tr.final.hvps
