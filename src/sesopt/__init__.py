@@ -7,7 +7,6 @@ format so runs are directly comparable on iteration, operator-count and
 cumulative-step axes.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from ._version import __version__
 from .baselines import (run_fista, run_linear_cg, run_nonlinear_cg,
                         run_ssf_iteration, run_steepest_descent)
@@ -17,7 +16,7 @@ from .core import (CallableObjective, CompositeObjective, Counters,
                    Objective, check_gradient, power_iteration_sq_norm,
                    seeded_rng, soft_threshold)
 from .directions import (DirectionKind, OrthState, dir_gradient, dir_newton,
-                         dir_orth_update, dir_pcd, dir_ssf)
+                         dir_orth_update)
 from .problems import (ExpSquaresObjective, GroundTruth, ProblemSpec,
                        SvmSquaredHinge, expsquares_ground_truth, make_expsquares,
                        make_l1_ls, make_quadratic_ls, make_svm_smooth)
@@ -28,6 +27,9 @@ from .subspace import (EmptySubspaceError, HistoryBuffer, LineSearchError,
 from .tn import InnerCgState, QuadraticModel, inner_cg, run_sesop_tn, run_tn_classic
 from .trace import (Trace, TraceRecord, emit_plot_data, new_trace,
                     read_trace_csv, snr_db, write_trace_csv)
+
+# the elementwise kernels are NumPy; the name stays for tools that report it
+kernel_backend = "python"
 
 __all__ = [
     "__version__",
@@ -43,8 +45,8 @@ __all__ = [
     "make_expsquares", "make_svm_smooth", "ExpSquaresObjective",
     "SvmSquaredHinge", "expsquares_ground_truth",
     # directions and frames
-    "DirectionKind", "OrthState", "dir_gradient", "dir_pcd", "dir_ssf",
-    "dir_orth_update", "dir_newton", "HistoryBuffer", "SubspaceFrame",
+    "DirectionKind", "OrthState", "dir_gradient", "dir_orth_update",
+    "dir_newton", "HistoryBuffer", "SubspaceFrame",
     "SubspaceResult", "build_frame", "subspace_minimize",
     "line_search_backtracking", "EmptySubspaceError", "LineSearchError",
     # solvers

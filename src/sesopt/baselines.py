@@ -17,10 +17,10 @@ import time
 
 import numpy as np
 
-from ._kernels import ssf_direction
 from .core import Counters
+from .kernels import ssf_direction
 from .subspace import LineSearchError, line_search_backtracking
-from .trace import Trace, new_trace
+from .trace import Trace, _fopt, new_trace
 
 __all__ = ["run_linear_cg", "run_ssf_iteration", "run_fista",
            "run_steepest_descent", "run_nonlinear_cg"]
@@ -34,13 +34,15 @@ def _row(trace, t0, it, cum, f, stat, counters, f_opt=None, aux=None):
 
 
 def run_linear_cg(a_spd_hvp, b, x0, tol=1e-10, max_iters=None, f_offset=0.0,
-                  counters=None, header=None, f_opt=None, callback=None):
+                  counters=None, header=None, f_opt=None, callback=None,
+                  max_matvecs=None):
     """Conjugate gradients for A x = b with SPD matvec callable.
 
     Reports f(x) = 0.5 x.A.x - b.x + f_offset per row, updated through the
     exact quadratic decrease identity so tracing costs no extra products.
     Stops when ||A x - b|| <= tol * max(1, ||A x0 - b||), on the iteration
-    cap, or on non-positive curvature (status "breakdown").
+    cap, on non-positive curvature (status "breakdown"), or once
+    ``counters`` has reached ``max_matvecs`` before a step.
 
     Returns (x, trace).
     """
@@ -68,6 +70,9 @@ def run_linear_cg(a_spd_hvp, b, x0, tol=1e-10, max_iters=None, f_offset=0.0,
     for k in range(1, max_iters + 1):
         if math.sqrt(rs) <= stop_at:
             status = "converged"
+            break
+        if max_matvecs is not None and counters.matvecs >= max_matvecs:
+            status = "max_matvecs"
             break
         ap = a_spd_hvp(p)
         curv = float(p @ ap)
@@ -234,11 +239,6 @@ def run_fista(composite, x0, c=None, grad_tol=1e-8, f_tol=0.0, max_iters=1000,
             break
     trace.header["status"] = status
     return x, trace
-
-
-def _fopt(obj):
-    gt = getattr(obj, "ground_truth", None)
-    return None if gt is None or gt.f_opt is None else gt.f_opt
 
 
 def _exact_quadratic_step(obj, x, g, d):

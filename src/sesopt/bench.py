@@ -26,7 +26,7 @@ from .core import seeded_rng
 from .problems import ProblemSpec
 from .sesop import SesopConfig, run_sesop
 from .tn import run_sesop_tn, run_tn_classic
-from .trace import emit_plot_data, new_trace, snr_db, write_trace_csv
+from .trace import _fopt, emit_plot_data, new_trace, snr_db, write_trace_csv
 
 __all__ = ["ExperimentPlan", "EXPERIMENTS", "parse_solver", "run_solver",
            "run_experiment", "run_single", "write_summary_csv",
@@ -46,18 +46,40 @@ def _parse_kv(text):
     return out
 
 
-SOLVER_NAMES = ("cg", "sd", "nlcg", "ista", "fista", "sesop", "sesop_newton",
-                "tn", "sesop_tn")
+# the spec options each solver reads
+SOLVER_OPTIONS = {
+    "cg": ("tol", "max_iters"),
+    "sd": ("exact",),
+    "nlcg": ("exact",),
+    "ista": ("c",),
+    "fista": ("c", "restart"),
+    "sesop": ("direction", "orth", "history"),
+    "sesop_newton": ("orth", "history"),
+    "tn": ("l_max",),
+    "sesop_tn": ("l_max", "outer_history", "trace_inner"),
+}
+SOLVER_NAMES = tuple(SOLVER_OPTIONS)
 
 
 def parse_solver(spec):
-    """Split ``name:key=value,...`` into (name, options dict)."""
+    """Split ``name:key=value,...`` into (name, options dict).
+
+    Raises ValueError for an unknown solver name or for an option the
+    solver does not read.
+    """
     name, _, rest = spec.partition(":")
     name = name.strip()
-    if name not in SOLVER_NAMES:
+    if name not in SOLVER_OPTIONS:
         raise ValueError(
             f"unknown solver {name!r}; valid: {', '.join(SOLVER_NAMES)}")
-    return name, _parse_kv(rest) if rest else {}
+    opts = _parse_kv(rest) if rest else {}
+    valid = SOLVER_OPTIONS[name]
+    for key in opts:
+        if key not in valid:
+            raise ValueError(
+                f"unknown option {key!r} for solver {name!r}; "
+                f"valid: {', '.join(valid)}")
+    return name, opts
 
 
 def _as_int(opts, key, default):
@@ -88,13 +110,12 @@ def run_solver(spec, obj, x0=None, max_iters=1000, grad_tol=1e-8,
         rhs = 2.0 * op.adjoint(b)
         obj.counters.reset()
         header = dict(new_trace(obj, spec).header)
-        gt = getattr(obj, "ground_truth", None)
         x, trace = run_linear_cg(mv, rhs, x0, tol=_as_float(opts, "tol", 1e-10),
                                  max_iters=_as_int(opts, "max_iters",
                                                    max_cum_steps or max_iters),
                                  f_offset=float(b @ b), counters=obj.counters,
-                                 header=header,
-                                 f_opt=gt.f_opt if gt is not None else None)
+                                 header=header, f_opt=_fopt(obj),
+                                 max_matvecs=max_matvecs)
     elif name == "sd":
         x, trace = run_steepest_descent(
             obj, x0, grad_tol=grad_tol, max_iters=max_iters,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import smooth_abs, smooth_abs_grad, smooth_abs_hess, soft_threshold_vec
+from .kernels import smooth_abs, smooth_abs_grad, smooth_abs_hess, soft_threshold_vec
 
 __all__ = [
     "Counters",

@@ -1,28 +1,24 @@
 """Per-iteration search directions fed into the subspace frame.
 
 Every function returns a full-space vector (never normalized here; the
-frame conditioning owns scaling). PCD and SSF consume exactly one adjoint
-application when given the residual, or zero when the caller already has
-A^T r in hand.
+frame conditioning owns scaling). The PCD and SSF directions of composite
+objectives are the elementwise kernels in ``kernels``, applied by the
+solvers to the A^T r they already hold.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from . import _kernels
-from .core import CompositeObjective, NewtonUnavailableError
+from .core import NewtonUnavailableError
 
 __all__ = [
     "DirectionKind",
     "OrthState",
     "dir_gradient",
-    "dir_pcd",
-    "dir_ssf",
     "dir_orth_update",
     "dir_newton",
 ]
@@ -32,62 +28,12 @@ class DirectionKind(str, Enum):
     GRADIENT = "gradient"
     PCD = "pcd"
     SSF = "ssf"
-    ORTH_WEIGHTED_GRAD = "orth_weighted_grad"
-    ORTH_TOTAL_STEP = "orth_total_step"
     NEWTON = "newton"
-    TN = "tn"
 
 
 def dir_gradient(g):
     """Steepest descent direction -g."""
     return -np.asarray(g, dtype=np.float64)
-
-
-def dir_pcd(composite, x, r, atr=None):
-    """Parallel-coordinate-descent direction.
-
-    Coordinate j moves to the exact minimizer of the composite objective
-    along e_j (closed form through the soft threshold):
-
-        d_j = soft(x_j - (a_j . r)/||a_j||^2, mu/(2 ||a_j||^2)) - x_j
-
-    ``r`` is the current residual A x - b. Passing a precomputed
-    ``atr = A^T r`` makes the call free of operator applications; otherwise
-    it costs exactly one adjoint. Zero-norm columns are skipped (d_j = 0)
-    with a warning.
-    """
-    if not isinstance(composite, CompositeObjective):
-        raise TypeError("dir_pcd needs a CompositeObjective")
-    cn = composite.op.column_norms_sq()
-    if cn is None:
-        raise ValueError("operator does not expose column norms")
-    if atr is None:
-        atr = composite.op.adjoint(r)
-    d, skipped = _kernels.pcd_direction(x, atr, cn, composite.mu)
-    if skipped:
-        warnings.warn(f"pcd: skipped {skipped} zero-norm columns", RuntimeWarning)
-    return d
-
-
-def dir_ssf(composite, x, r, c=None, atr=None):
-    """Separable-surrogate (SSF) direction d = prox step - x.
-
-    Minimizes the quadratic majorizer with curvature c >= sigma_max(A)^2:
-
-        x*_j = soft(x_j - (A^T r)_j / c, mu/(2c)),   d = x* - x
-
-    which coincides with the proximal-gradient (ISTA) step of step size
-    1/c. Defaults c to the problem's cached power-iteration estimate.
-    """
-    if not isinstance(composite, CompositeObjective):
-        raise TypeError("dir_ssf needs a CompositeObjective")
-    if c is None:
-        c = composite.ssf_constant
-    if not c > 0:
-        raise ValueError("invalid majorizer")
-    if atr is None:
-        atr = composite.op.adjoint(r)
-    return _kernels.ssf_direction(x, atr, c, composite.mu)
 
 
 @dataclass

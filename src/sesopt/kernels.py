@@ -1,21 +1,16 @@
-"""Numpy reference implementation of the coordinatewise kernels.
+"""Elementwise kernels of the composite and smoothed solvers.
 
-These are the hot non-BLAS loops of the package: the soft-threshold prox,
+These are the non-BLAS loops of the package: the soft-threshold prox,
 the PCD/SSF direction assembly, and the smoothed-absolute-value maps used
-by the inner Newton solves. The compiled backend in ``_fast.pyx`` mirrors
-each expression exactly (same operation order, multiplication by a
-precomputed reciprocal instead of division where noted) so the two
-backends agree bitwise and solver trajectories do not depend on which one
-is loaded.
+by the inner Newton solves. Each is a short chain of NumPy ufuncs whose
+operation order is fixed (a precomputed reciprocal is multiplied rather
+than divided by, where noted), so solver traces are byte-reproducible.
 
 All kernels are elementwise and return new float64 arrays; reductions are
-left to ``np.sum`` at call sites so both backends share numpy's pairwise
-summation.
+left to ``np.sum`` at call sites.
 """
 
 import numpy as np
-
-BACKEND = "python"
 
 
 def _as_f64(v):
@@ -45,26 +40,35 @@ def ssf_direction(x, atr, c, mu):
     return np.sign(u) * np.maximum(np.abs(u) - thr, 0.0) - x
 
 
-def pcd_direction(x, atr, col_norms_sq, mu):
-    """Parallel-coordinate-descent direction.
+def pcd_reciprocals(col_norms_sq):
+    """The fixed part of pcd_direction, built once per run.
 
-    Per coordinate j with column norm squared cn_j > 0:
-        d_j = soft(x_j - atr_j / cn_j, mu / (2 cn_j)) - x_j
-    Coordinates with cn_j <= 0 get d_j = 0 (skipped).
-
-    Returns (d, n_skipped).
+    Returns (inv, skipped): inv_j = 1/cn_j where cn_j > 0 and 0 elsewhere,
+    and the indices of the skipped coordinates (cn_j <= 0).
     """
-    x = _as_f64(x)
-    atr = _as_f64(atr)
     cn = _as_f64(col_norms_sq)
     ok = cn > 0.0
     inv = np.zeros_like(cn)
     inv[ok] = 1.0 / cn[ok]
+    return inv, np.flatnonzero(~ok)
+
+
+def pcd_direction(x, atr, reciprocals, mu):
+    """Parallel-coordinate-descent direction.
+
+    Per coordinate j with column norm squared cn_j > 0:
+        d_j = soft(x_j - atr_j / cn_j, mu / (2 cn_j)) - x_j
+    Coordinates with cn_j <= 0 get d_j = 0 (skipped). ``reciprocals`` is
+    ``pcd_reciprocals(cn)``.
+    """
+    x = _as_f64(x)
+    atr = _as_f64(atr)
+    inv, skipped = reciprocals
     u = x - atr * inv
     thr = 0.5 * float(mu) * inv
     d = np.sign(u) * np.maximum(np.abs(u) - thr, 0.0) - x
-    d[~ok] = 0.0
-    return d, int(np.count_nonzero(~ok))
+    d[skipped] = 0.0
+    return d
 
 
 def smooth_abs(x, eps):

@@ -20,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import pcd_direction, smooth_abs_grad, ssf_direction
 from .core import CompositeObjective, NewtonUnavailableError
 from .directions import DirectionKind, OrthState, dir_newton, dir_orth_update
+from .kernels import (pcd_direction, pcd_reciprocals, smooth_abs_grad,
+                      ssf_direction)
 from .subspace import HistoryBuffer, build_frame, subspace_minimize
-from .trace import new_trace
+from .trace import _fopt, new_trace
 
 __all__ = ["SesopConfig", "run_sesop", "run_sesop_newton"]
 
@@ -95,17 +96,17 @@ def run_sesop_newton(obj, x0, config=None, callback=None):
     return run_sesop(obj, x0, cfg, callback)
 
 
-def _fopt(obj):
-    gt = getattr(obj, "ground_truth", None)
-    return None if gt is None or gt.f_opt is None else gt.f_opt
-
-
 def _run_composite(comp, x0, cfg, direction, callback, aux_metric=None):
     c = comp.ssf_constant  # force the lazy power iteration before reset
     counters = comp.counters
     counters.reset()
     t0 = time.perf_counter()
     op, mu, eps = comp.op, comp.mu, comp.smoothing_eps
+    if direction == DirectionKind.PCD:
+        col_nsq = op.column_norms_sq()
+        if col_nsq is None:
+            raise ValueError("pcd needs per-column norms from the operator")
+        pcd_recip = pcd_reciprocals(col_nsq)
 
     x = np.array(x0, dtype=np.float64)
     r = comp.residual(x)
@@ -155,11 +156,7 @@ def _run_composite(comp, x0, cfg, direction, callback, aux_metric=None):
                 g_s = g_s + mu * smooth_abs_grad(x, eps)
         cols = []
         if direction == DirectionKind.PCD:
-            col_nsq = op.column_norms_sq()
-            if col_nsq is None:
-                raise ValueError("pcd needs per-column norms from the operator")
-            d, _ = pcd_direction(x, atr, col_nsq, mu)
-            cols.append((d, "pcd", None))
+            cols.append((pcd_direction(x, atr, pcd_recip, mu), "pcd", None))
         elif direction == DirectionKind.SSF:
             cols.append((d_ssf, "ssf", None))
         elif direction == DirectionKind.NEWTON:

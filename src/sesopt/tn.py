@@ -26,7 +26,7 @@ import numpy as np
 from .core import CompositeObjective
 from .subspace import (HistoryBuffer, LineSearchError, build_frame,
                        line_search_backtracking, subspace_minimize)
-from .trace import new_trace
+from .trace import _fopt, new_trace
 
 __all__ = ["QuadraticModel", "InnerCgState", "inner_cg", "run_tn_classic",
            "run_sesop_tn"]
@@ -187,11 +187,6 @@ def inner_cg(model, l_max, rtol, warm_pair=None):
 
 def _forcing(gnorm, gnorm0):
     return min(0.5, math.sqrt(gnorm / gnorm0)) if gnorm0 > 0 else 0.5
-
-
-def _fopt(obj):
-    gt = getattr(obj, "ground_truth", None)
-    return None if gt is None or gt.f_opt is None else gt.f_opt
 
 
 def run_tn_classic(obj, x0, l_max=10, grad_tol=1e-8, f_tol=0.0, max_iters=500,

@@ -86,6 +86,12 @@ def new_trace(obj, solver_desc):
                          "seed": seed, "version": __version__})
 
 
+def _fopt(obj):
+    """The objective's known optimal value, or None."""
+    gt = getattr(obj, "ground_truth", None)
+    return None if gt is None else gt.f_opt
+
+
 def write_trace_csv(trace, path, include_wall=False):
     """Serialize a trace; the default body is deterministic (no wall times)."""
     cols = list(_BASE_COLUMNS)
@@ -156,8 +162,7 @@ def read_trace_csv(path):
     return trace
 
 
-_AXES = {"iter": "iter", "matvecs": "matvecs", "cum_cg": "cum_steps",
-         "cum_steps": "cum_steps", "wall_ms": "wall_ms"}
+_AXES = ("iter", "matvecs", "cum_steps", "wall_ms")
 
 
 def emit_plot_data(traces, axis, value="f_value", labels=None):
@@ -171,19 +176,18 @@ def emit_plot_data(traces, axis, value="f_value", labels=None):
     """
     if axis not in _AXES:
         raise ValueError(f"unknown axis {axis!r}; choose from {sorted(_AXES)}")
-    col = _AXES[axis]
     problems = {t.header.get("problem") for t in traces}
     if len(problems) > 1:
         raise ValueError("incomparable traces")
     if labels is None:
         labels = [t.header.get("solver", f"trace{i}") for i, t in enumerate(traces)]
 
-    axes = [t.column(col) for t in traces]
-    vals = [t.column(value if value != "aux" else "aux") for t in traces]
+    axes = [t.column(axis) for t in traces]
+    vals = [t.column(value) for t in traces]
     breakpoints = np.unique(np.concatenate(axes))
     lines = [axis + "\t" + "\t".join(labels)]
     for bp in breakpoints:
-        row = [_fmt(bp) if col == "wall_ms" else str(int(bp))]
+        row = [_fmt(bp) if axis == "wall_ms" else str(int(bp))]
         for ax, vv in zip(axes, vals):
             j = int(np.searchsorted(ax, bp, side="right")) - 1
             row.append("" if j < 0 else _fmt(vv[j]))

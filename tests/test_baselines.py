@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from sesopt import (CompositeObjective, DenseOperator, dir_ssf, make_expsquares,
+from sesopt import (CompositeObjective, DenseOperator, make_expsquares,
                     make_quadratic_ls, run_fista, run_linear_cg,
                     run_nonlinear_cg, run_ssf_iteration, run_steepest_descent,
                     seeded_rng, snr_db)
+from sesopt.kernels import ssf_direction
 
 from conftest import assert_monotone, small_l1
 
@@ -169,7 +170,8 @@ def test_ssf_direction_vanishes_at_the_optimum():
     obj, _ = small_l1()
     x_opt, _ = run_fista(obj, np.zeros(obj.dim), restart=True, grad_tol=1e-12,
                          max_iters=30000)
-    d = dir_ssf(obj, x_opt, obj.residual(x_opt))
+    atr = obj.op.adjoint(obj.residual(x_opt))
+    d = ssf_direction(x_opt, atr, obj.ssf_constant, obj.mu)
     assert float(np.max(np.abs(d))) <= 1e-8
 
 

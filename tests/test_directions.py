@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from sesopt import (CallableObjective, CompositeObjective, DenseOperator,
-                    NewtonUnavailableError, OrthState, dir_gradient, dir_newton,
-                    dir_orth_update, dir_pcd, dir_ssf, seeded_rng, soft_threshold)
+                    NewtonUnavailableError, OrthState, SesopConfig, dir_gradient,
+                    dir_newton, dir_orth_update, run_fista, run_sesop,
+                    seeded_rng, soft_threshold)
+from sesopt.kernels import pcd_direction, pcd_reciprocals, ssf_direction
 
 from conftest import small_l1, small_quadratic
 
@@ -15,11 +17,20 @@ def test_dir_gradient():
 
 # -- PCD ----------------------------------------------------------------------
 
+def _pcd(obj, x, r):
+    recip = pcd_reciprocals(obj.op.column_norms_sq())
+    return pcd_direction(x, obj.op.adjoint(r), recip, obj.mu)
+
+
+def _ssf(obj, x, r, c):
+    return ssf_direction(x, obj.op.adjoint(r), c, obj.mu)
+
+
 def test_pcd_matches_per_coordinate_minimizer():
     obj, a = small_l1()
     x = seeded_rng(31).standard_normal(obj.dim)
     r = a @ x - obj.b
-    d = dir_pcd(obj, x, r)
+    d = _pcd(obj, x, r)
     cn = (a * a).sum(axis=0)
     for j in range(obj.dim):
         want = soft_threshold(x[j] - (a[:, j] @ r) / cn[j],
@@ -37,21 +48,10 @@ def test_pcd_matches_per_coordinate_minimizer():
             assert f_at <= obj.value(x + (d[j] + bump) * e) + 1e-12
 
 
-def test_pcd_zero_column_skips_with_warning():
-    a = seeded_rng(33).standard_normal((8, 5))
-    a[:, 2] = 0.0
-    obj = CompositeObjective(DenseOperator(a), np.ones(8), mu=1e-3)
-    x = np.ones(5)
-    with pytest.warns(RuntimeWarning, match="zero-norm"):
-        d = dir_pcd(obj, x, obj.residual(x))
-    assert d[2] == 0.0
-
-
 def test_pcd_preconditions():
-    obj, _, _ = small_quadratic()
     smooth = CallableObjective(3, value=lambda z: 0.0)
     with pytest.raises(TypeError):
-        dir_pcd(smooth, np.zeros(3), np.zeros(3))
+        run_sesop(smooth, np.zeros(3), SesopConfig(direction="pcd"))
 
     class NoColumns(DenseOperator):
         def column_norms_sq(self):
@@ -59,19 +59,7 @@ def test_pcd_preconditions():
 
     bad = CompositeObjective(NoColumns(np.eye(4)), np.zeros(4), mu=0.0)
     with pytest.raises(ValueError, match="column norms"):
-        dir_pcd(bad, np.zeros(4), np.zeros(4))
-
-
-def test_pcd_adjoint_budget():
-    obj, a = small_l1()
-    x = seeded_rng(34).standard_normal(obj.dim)
-    r = obj.residual(x)
-    atr = obj.op.adjoint(r)
-    before = obj.counters.matvecs
-    dir_pcd(obj, x, r, atr=atr)
-    assert obj.counters.matvecs == before  # precomputed A^T r: no products
-    dir_pcd(obj, x, r)
-    assert obj.counters.matvecs == before + 1  # exactly one adjoint
+        run_sesop(bad, np.zeros(4), SesopConfig(direction="pcd"))
 
 
 # -- SSF ----------------------------------------------------------------------
@@ -81,7 +69,7 @@ def test_ssf_is_prox_gradient_step():
     x = seeded_rng(35).standard_normal(obj.dim)
     r = a @ x - obj.b
     c = obj.ssf_constant
-    d = dir_ssf(obj, x, r)
+    d = _ssf(obj, x, r, c)
     atr = a.T @ r
     want = soft_threshold(x - atr / c, 0.5 * obj.mu / c) - x
     np.testing.assert_allclose(d, want, atol=1e-14)
@@ -94,17 +82,18 @@ def test_ssf_equals_pcd_for_orthonormal_columns():
     obj = CompositeObjective(DenseOperator(q), np.ones(12), mu=0.01)
     x = seeded_rng(37).standard_normal(6)
     r = obj.residual(x)
-    d_pcd = dir_pcd(obj, x, r)
-    d_ssf = dir_ssf(obj, x, r, c=1.0)  # unit column norms, unit majorizer
+    d_pcd = _pcd(obj, x, r)
+    d_ssf = _ssf(obj, x, r, c=1.0)  # unit column norms, unit majorizer
     np.testing.assert_allclose(d_pcd, d_ssf, atol=1e-14)
 
 
 def test_ssf_validation():
     obj, _ = small_l1()
     with pytest.raises(ValueError, match="invalid majorizer"):
-        dir_ssf(obj, np.zeros(obj.dim), np.zeros(obj.op.rows), c=0.0)
+        run_fista(obj, np.zeros(obj.dim), c=0.0)
     with pytest.raises(TypeError):
-        dir_ssf(CallableObjective(2, value=lambda z: 0.0), np.zeros(2), np.zeros(2))
+        run_sesop(CallableObjective(2, value=lambda z: 0.0), np.zeros(2),
+                  SesopConfig(direction="ssf"))
 
 
 # -- ORTH ---------------------------------------------------------------------

@@ -1,19 +1,12 @@
-"""Both kernel backends compute the same arrays, bit for bit."""
+"""The elementwise kernels match their closed forms."""
 
 import numpy as np
 import pytest
 
 import sesopt
-from sesopt._kernels import (pcd_direction, py_backend, smooth_abs,
-                             smooth_abs_grad, smooth_abs_hess, soft_threshold_vec,
-                             ssf_direction)
-
-try:
-    from sesopt._kernels import _fast
-except ImportError:
-    _fast = None
-
-needs_compiled = pytest.mark.skipif(_fast is None, reason="extension not built")
+from sesopt.kernels import (pcd_direction, pcd_reciprocals, smooth_abs,
+                            smooth_abs_grad, smooth_abs_hess, soft_threshold_vec,
+                            ssf_direction)
 
 
 def _probe_arrays(seed=11, n=257):
@@ -27,7 +20,7 @@ def _probe_arrays(seed=11, n=257):
 
 
 def test_backend_reported():
-    assert sesopt.kernel_backend in ("compiled", "python")
+    assert sesopt.kernel_backend == "python"
 
 
 def test_soft_threshold_formula():
@@ -52,8 +45,9 @@ def test_ssf_direction_formula():
 def test_pcd_direction_formula_and_skips():
     x, atr, cn = _probe_arrays()
     mu = 1e-2
-    d, skipped = pcd_direction(x, atr, cn, mu)
-    assert skipped == int(np.count_nonzero(cn == 0.0))
+    recip = pcd_reciprocals(cn)
+    np.testing.assert_array_equal(recip[1], np.flatnonzero(cn == 0.0))
+    d = pcd_direction(x, atr, recip, mu)
     for j in range(x.size):
         if cn[j] == 0.0:
             assert d[j] == 0.0
@@ -81,36 +75,3 @@ def test_smooth_abs_family():
     dh = 1e-6
     fd = (smooth_abs_grad(x + dh, eps) - smooth_abs_grad(x - dh, eps)) / (2 * dh)
     np.testing.assert_allclose(h, fd, rtol=1e-4, atol=1e-6)
-
-
-@needs_compiled
-def test_backends_bitwise_identical():
-    x, atr, cn = _probe_arrays(seed=23, n=1024)
-    mu, eps, c = 1e-3, 1e-8, 3.7
-    pairs = [
-        (py_backend.soft_threshold_vec(x, mu), _fast.soft_threshold_vec(x, mu)),
-        (py_backend.ssf_direction(x, atr, c, mu), _fast.ssf_direction(x, atr, c, mu)),
-        (py_backend.smooth_abs(x, eps), _fast.smooth_abs(x, eps)),
-        (py_backend.smooth_abs_grad(x, eps), _fast.smooth_abs_grad(x, eps)),
-        (py_backend.smooth_abs_hess(x, eps), _fast.smooth_abs_hess(x, eps)),
-    ]
-    for a, b in pairs:
-        np.testing.assert_array_equal(a, b)
-    da, ka = py_backend.pcd_direction(x, atr, cn, mu)
-    db, kb = _fast.pcd_direction(x, atr, cn, mu)
-    np.testing.assert_array_equal(da, db)
-    assert ka == kb
-
-
-@needs_compiled
-def test_backend_env_override(tmp_path):
-    import subprocess
-    import sys
-
-    code = ("import sesopt; print(sesopt.kernel_backend)")
-    for want in ("python", "compiled"):
-        out = subprocess.run(
-            [sys.executable, "-c", code],
-            env={"PATH": "/usr/bin:/bin", "SESOPT_KERNELS": want},
-            capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == want

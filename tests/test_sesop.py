@@ -71,6 +71,8 @@ def test_composite_directions_require_composite():
     for d in ("pcd", "ssf"):
         with pytest.raises(TypeError):
             run_sesop(smooth, np.zeros(4), SesopConfig(direction=d))
+    with pytest.raises(ValueError, match="'tn' is not a valid"):
+        run_sesop(smooth, np.zeros(4), SesopConfig(direction="tn"))
 
 
 def test_composite_operator_budget_two_per_iteration():

@@ -363,7 +363,7 @@ def test_svm_traces_are_those_of_uncached_formulas():
             np.testing.assert_array_equal(tr.column(col), tr_u.column(col))
 
 
-@pytest.mark.parametrize("spec", ["tn:l_max=5", "sd", "nlcg"])
+@pytest.mark.parametrize("spec", ["tn:l_max=5", "sd", "nlcg", "cg"])
 def test_newton_and_gradient_baselines_honour_the_matvec_budget(spec):
     # least squares: an hvp is two matvecs (A, then A^T), a value one
     obj = make_quadratic_ls(60, seed=12)

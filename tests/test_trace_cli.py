@@ -4,9 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sesopt import (Trace, emit_plot_data, read_trace_csv, snr_db,
-                    write_trace_csv)
-from sesopt.bench import parse_solver, run_single
+from sesopt import (Trace, emit_plot_data, make_quadratic_ls, read_trace_csv,
+                    snr_db, write_trace_csv)
+from sesopt.bench import parse_solver, run_single, run_solver
 from sesopt.cli import main
 
 
@@ -119,9 +119,20 @@ def test_run_single_is_byte_reproducible(tmp_path):
 def test_parse_solver_lists_valid_names():
     with pytest.raises(ValueError, match="valid:.*sesop_tn"):
         parse_solver("simplex")
-    name, opts = parse_solver("tn: l_max = 5 ,inner=cg")
-    assert name == "tn"
-    assert opts == {"l_max": "5", "inner": "cg"}
+    name, opts = parse_solver("sesop_tn: l_max = 5 ,outer_history=3")
+    assert name == "sesop_tn"
+    assert opts == {"l_max": "5", "outer_history": "3"}
+
+
+@pytest.mark.parametrize("spec, valid", [
+    ("sesop:bogus=3", "direction, orth, history"),
+    ("tn:history=9", "l_max"),
+    ("fista:restrat=1", "c, restart"),
+], ids=["sesop:bogus", "tn:history", "fista:restrat"])
+def test_run_solver_rejects_options_the_solver_does_not_read(spec, valid):
+    obj = make_quadratic_ls(8, seed=1)
+    with pytest.raises(ValueError, match=f"unknown option.*valid: {valid}$"):
+        run_solver(spec, obj, max_iters=3)
 
 
 # -- CLI ---------------------------------------------------------------------------
