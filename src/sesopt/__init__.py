@@ -15,8 +15,7 @@ from .core import (CallableObjective, CompositeObjective, Counters,
                    NewtonUnavailableError,
                    Objective, check_gradient, power_iteration_sq_norm,
                    seeded_rng, soft_threshold)
-from .directions import (DirectionKind, OrthState, dir_gradient, dir_newton,
-                         dir_orth_update)
+from .directions import DirectionKind, OrthState, dir_newton, dir_orth_update
 from .problems import (ExpSquaresObjective, GroundTruth, ProblemSpec,
                        SvmSquaredHinge, expsquares_ground_truth, make_expsquares,
                        make_l1_ls, make_quadratic_ls, make_svm_smooth)
@@ -45,7 +44,7 @@ __all__ = [
     "make_expsquares", "make_svm_smooth", "ExpSquaresObjective",
     "SvmSquaredHinge", "expsquares_ground_truth",
     # directions and frames
-    "DirectionKind", "OrthState", "dir_gradient", "dir_orth_update",
+    "DirectionKind", "OrthState", "dir_orth_update",
     "dir_newton", "HistoryBuffer", "SubspaceFrame",
     "SubspaceResult", "build_frame", "subspace_minimize",
     "line_search_backtracking", "EmptySubspaceError", "LineSearchError",

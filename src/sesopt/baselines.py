@@ -1,8 +1,9 @@
 """Classical reference solvers the subspace methods are benchmarked against.
 
-All runners share the same contract: reset the problem counters at start,
-emit one trace row per iteration (row 0 is the starting point), stop on
-the first satisfied criterion and record the reason in the trace header.
+All runners share one contract, kept by ``trace.Recorder``: the problem
+counters are reset at start, one trace row is emitted per iteration (row 0
+is the starting point), the run stops on the first satisfied criterion
+and the trace header records the reason.
 
 The composite solvers maintain the residual A x - b across iterations so
 objective values for reporting are free; linear CG tracks the quadratic's
@@ -13,87 +14,59 @@ reflect algorithmic cost only.
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
-from .core import Counters
 from .kernels import ssf_direction
 from .subspace import LineSearchError, line_search_backtracking
-from .trace import Trace, _fopt, new_trace
+from .trace import Recorder
 
 __all__ = ["run_linear_cg", "run_ssf_iteration", "run_fista",
            "run_steepest_descent", "run_nonlinear_cg"]
 
 
-def _row(trace, t0, it, cum, f, stat, counters, f_opt=None, aux=None):
-    trace.add(iter=it, cum_steps=cum, f_value=f,
-              f_minus_fopt=None if f_opt is None else f - f_opt,
-              stat_norm=stat, matvecs=counters.matvecs, hvps=counters.hvps,
-              wall_ms=(time.perf_counter() - t0) * 1e3, aux=aux)
-
-
 def run_linear_cg(a_spd_hvp, b, x0, tol=1e-10, max_iters=None, f_offset=0.0,
-                  counters=None, header=None, f_opt=None, callback=None,
-                  max_matvecs=None):
+                  obj=None, callback=None, max_matvecs=None):
     """Conjugate gradients for A x = b with SPD matvec callable.
 
     Reports f(x) = 0.5 x.A.x - b.x + f_offset per row, updated through the
     exact quadratic decrease identity so tracing costs no extra products.
-    Stops when ||A x - b|| <= tol * max(1, ||A x0 - b||), on the iteration
-    cap, on non-positive curvature (status "breakdown"), or once
-    ``counters`` has reached ``max_matvecs`` before a step.
+    Stops when ||A x - b|| <= tol * max(1, ||A x0 - b||) (status
+    "converged"), on the iteration cap, on non-positive curvature (status
+    "breakdown"), or once the counters have reached ``max_matvecs`` before
+    a step. ``obj``, when given, is the objective the system comes from:
+    the run counts on its counters, and the trace takes its header and
+    known optimum.
 
     Returns (x, trace).
     """
-    counters = counters if counters is not None else Counters()
-    counters.reset()
-    t0 = time.perf_counter()
     x = np.array(x0, dtype=np.float64)
-    if max_iters is None:
-        max_iters = 10 * x.size
-
+    rec = Recorder(obj, "name=cg",
+                   max_iters=10 * x.size if max_iters is None else max_iters,
+                   max_matvecs=max_matvecs, callback=callback)
     ax = a_spd_hvp(x)
     r = ax - b  # gradient of the quadratic
     f = 0.5 * float(x @ ax) - float(b @ x) + f_offset
     rs = float(r @ r)
-    stop_at = tol * max(1.0, math.sqrt(rs))
+    rec.stop_at = tol * max(1.0, math.sqrt(rs))
 
-    trace = Trace(header=dict(header or {}))
-    trace.header.setdefault("solver", "name=cg")
-    _row(trace, t0, 0, 0, f, math.sqrt(rs), counters, f_opt)
-    if callback:
-        callback(0, x)
-
-    status = "max_iters"
     p = -r
-    for k in range(1, max_iters + 1):
-        if math.sqrt(rs) <= stop_at:
-            status = "converged"
-            break
-        if max_matvecs is not None and counters.matvecs >= max_matvecs:
-            status = "max_matvecs"
-            break
+    k = 0
+    while not rec.row(k, k, f, math.sqrt(rs), x):
         ap = a_spd_hvp(p)
         curv = float(p @ ap)
         if curv <= 0.0:
-            status = "breakdown"
-            break
+            return x, rec.finish("breakdown")
         rp = float(r @ p)
         alpha = rs / curv  # equals -rp/curv for CG-generated directions
         f += alpha * rp + 0.5 * alpha * alpha * curv
         x += alpha * p
         r += alpha * ap
         rs_new = float(r @ r)
-        _row(trace, t0, k, k, f, math.sqrt(rs_new), counters, f_opt)
-        if callback:
-            callback(k, x)
         p = -r + (rs_new / rs) * p
         rs = rs_new
-    else:
-        status = "max_iters"
-    trace.header["status"] = status
-    return x, trace
+        k += 1
+    return x, rec.finish("converged" if rec.status == "stationary" else None)
 
 
 def run_ssf_iteration(composite, x0, c=None, grad_tol=1e-8, f_tol=0.0,
@@ -108,9 +81,9 @@ def run_ssf_iteration(composite, x0, c=None, grad_tol=1e-8, f_tol=0.0,
     c = composite.ssf_constant if c is None else float(c)
     if not c > 0:
         raise ValueError("invalid majorizer")
-    counters = composite.counters
-    counters.reset()
-    t0 = time.perf_counter()
+    rec = Recorder(composite, f"name=ista,c={c!r}", stop_at=grad_tol,
+                   f_tol=f_tol, max_iters=max_iters, max_matvecs=max_matvecs,
+                   callback=callback, aux_metric=aux_metric)
     op, mu = composite.op, composite.mu
 
     x = np.array(x0, dtype=np.float64)
@@ -120,27 +93,8 @@ def run_ssf_iteration(composite, x0, c=None, grad_tol=1e-8, f_tol=0.0,
     d = ssf_direction(x, atr, c, mu)
     stat = float(np.max(np.abs(d))) if d.size else 0.0
 
-    trace = new_trace(composite, f"name=ista,c={c!r}")
-    if aux_metric is not None:
-        trace.aux_name = aux_metric[0]
-    _row(trace, t0, 0, 0, f, stat, counters,
-         _fopt(composite), aux_metric[1](x) if aux_metric else None)
-    if callback:
-        callback(0, x)
-
-    status = "max_iters"
     k = 0
-    while True:
-        if stat <= grad_tol:
-            status = "stationary"
-            break
-        if k >= max_iters:
-            status = "max_iters"
-            break
-        if max_matvecs is not None and counters.matvecs >= max_matvecs:
-            status = "max_matvecs"
-            break
-        f_prev = f
+    while not rec.row(k, k, f, stat, x):
         x = x + d
         r = op.apply(x) - composite.b
         f = composite.value_from_residual(r, x)
@@ -148,15 +102,7 @@ def run_ssf_iteration(composite, x0, c=None, grad_tol=1e-8, f_tol=0.0,
         d = ssf_direction(x, atr, c, mu)
         stat = float(np.max(np.abs(d)))
         k += 1
-        _row(trace, t0, k, k, f, stat, counters,
-             _fopt(composite), aux_metric[1](x) if aux_metric else None)
-        if callback:
-            callback(k, x)
-        if f_tol > 0 and abs(f_prev - f) <= f_tol * (1.0 + abs(f)):
-            status = "f_tol"
-            break
-    trace.header["status"] = status
-    return x, trace
+    return x, rec.finish()
 
 
 def run_fista(composite, x0, c=None, grad_tol=1e-8, f_tol=0.0, max_iters=1000,
@@ -172,9 +118,10 @@ def run_fista(composite, x0, c=None, grad_tol=1e-8, f_tol=0.0, max_iters=1000,
     c = composite.ssf_constant if c is None else float(c)
     if not c > 0:
         raise ValueError("invalid majorizer")
-    counters = composite.counters
-    counters.reset()
-    t0 = time.perf_counter()
+    rec = Recorder(composite, f"name=fista,c={c!r},restart={int(restart)}",
+                   stop_at=grad_tol, f_tol=f_tol, max_iters=max_iters,
+                   max_matvecs=max_matvecs, callback=callback,
+                   aux_metric=aux_metric)
     op, mu = composite.op, composite.mu
 
     x = np.array(x0, dtype=np.float64)
@@ -187,27 +134,9 @@ def run_fista(composite, x0, c=None, grad_tol=1e-8, f_tol=0.0, max_iters=1000,
     d0 = ssf_direction(x, atr_y, c, mu)
     stat = float(np.max(np.abs(d0)))
 
-    trace = new_trace(composite, f"name=fista,c={c!r},restart={int(restart)}")
-    if aux_metric is not None:
-        trace.aux_name = aux_metric[0]
-    _row(trace, t0, 0, 0, f, stat, counters,
-         _fopt(composite), aux_metric[1](x) if aux_metric else None)
-    if callback:
-        callback(0, x)
-
-    status = "max_iters"
     k = 0
     have_atr = True  # y == x at start, adjoint already computed
-    while True:
-        if stat <= grad_tol:
-            status = "stationary"
-            break
-        if k >= max_iters:
-            status = "max_iters"
-            break
-        if max_matvecs is not None and counters.matvecs >= max_matvecs:
-            status = "max_matvecs"
-            break
+    while not rec.row(k, k, f, stat, x):
         if not have_atr:
             atr_y = op.adjoint(ry)
         have_atr = False
@@ -223,22 +152,13 @@ def run_fista(composite, x0, c=None, grad_tol=1e-8, f_tol=0.0, max_iters=1000,
             stat = float(np.max(np.abs(xn - x)))
             rn = op.apply(xn) - composite.b
             fn = composite.value_from_residual(rn, xn)
-        f_prev = f
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_mom * t_mom))
         coef = (t_mom - 1.0) / t_next
         y = xn + coef * (xn - x)
         ry = rn + coef * (rn - rx)
         x, rx, f, t_mom = xn, rn, fn, t_next
         k += 1
-        _row(trace, t0, k, k, f, stat, counters,
-             _fopt(composite), aux_metric[1](x) if aux_metric else None)
-        if callback:
-            callback(k, x)
-        if f_tol > 0 and abs(f_prev - f) <= f_tol * (1.0 + abs(f)):
-            status = "f_tol"
-            break
-    trace.header["status"] = status
-    return x, trace
+    return x, rec.finish()
 
 
 def _exact_quadratic_step(obj, x, g, d):
@@ -253,30 +173,16 @@ def _exact_quadratic_step(obj, x, g, d):
 def run_steepest_descent(obj, x0, grad_tol=1e-8, f_tol=0.0, max_iters=1000,
                          exact_line_search=False, max_matvecs=None, callback=None):
     """Gradient descent with Armijo backtracking or exact quadratic steps."""
-    obj.counters.reset()
-    t0 = time.perf_counter()
+    rec = Recorder(obj, f"name=sd,exact={int(exact_line_search)}", f_tol=f_tol,
+                   max_iters=max_iters, max_matvecs=max_matvecs,
+                   callback=callback)
     x = np.array(x0, dtype=np.float64)
     f, g = obj.value_and_grad(x)
     gnorm = float(np.linalg.norm(g))
-    stop_at = grad_tol * (1.0 + gnorm)
+    rec.stop_at = grad_tol * (1.0 + gnorm)
 
-    trace = new_trace(obj, f"name=sd,exact={int(exact_line_search)}")
-    _row(trace, t0, 0, 0, f, gnorm, obj.counters, _fopt(obj))
-    if callback:
-        callback(0, x)
-
-    status = "max_iters"
     k = 0
-    while True:
-        if gnorm <= stop_at:
-            status = "stationary"
-            break
-        if k >= max_iters:
-            break
-        if max_matvecs is not None and obj.counters.matvecs >= max_matvecs:
-            status = "max_matvecs"
-            break
-        f_prev = f
+    while not rec.row(k, k, f, gnorm, x):
         d = -g
         if exact_line_search:
             t_step = _exact_quadratic_step(obj, x, g, d)
@@ -286,20 +192,12 @@ def run_steepest_descent(obj, x0, grad_tol=1e-8, f_tol=0.0, max_iters=1000,
             try:
                 t_step, f = line_search_backtracking(obj, x, d, f, g)
             except LineSearchError:
-                status = "line_search_failed"
-                break
+                return x, rec.finish("line_search_failed")
             x = x + t_step * d
             g = obj.grad(x)
         gnorm = float(np.linalg.norm(g))
         k += 1
-        _row(trace, t0, k, k, f, gnorm, obj.counters, _fopt(obj))
-        if callback:
-            callback(k, x)
-        if f_tol > 0 and abs(f_prev - f) <= f_tol * (1.0 + abs(f)):
-            status = "f_tol"
-            break
-    trace.header["status"] = status
-    return x, trace
+    return x, rec.finish()
 
 
 def run_nonlinear_cg(obj, x0, grad_tol=1e-8, f_tol=0.0, max_iters=1000,
@@ -310,31 +208,17 @@ def run_nonlinear_cg(obj, x0, grad_tol=1e-8, f_tol=0.0, max_iters=1000,
     whenever the recurrence stops producing a descent direction. On
     quadratics with exact line search this reproduces linear CG.
     """
-    obj.counters.reset()
-    t0 = time.perf_counter()
+    rec = Recorder(obj, f"name=nlcg,exact={int(exact_line_search)}",
+                   f_tol=f_tol, max_iters=max_iters, max_matvecs=max_matvecs,
+                   callback=callback)
     x = np.array(x0, dtype=np.float64)
     f, g = obj.value_and_grad(x)
     gnorm = float(np.linalg.norm(g))
-    stop_at = grad_tol * (1.0 + gnorm)
+    rec.stop_at = grad_tol * (1.0 + gnorm)
 
-    trace = new_trace(obj, f"name=nlcg,exact={int(exact_line_search)}")
-    _row(trace, t0, 0, 0, f, gnorm, obj.counters, _fopt(obj))
-    if callback:
-        callback(0, x)
-
-    status = "max_iters"
     d = -g
     k = 0
-    while True:
-        if gnorm <= stop_at:
-            status = "stationary"
-            break
-        if k >= max_iters:
-            break
-        if max_matvecs is not None and obj.counters.matvecs >= max_matvecs:
-            status = "max_matvecs"
-            break
-        f_prev = f
+    while not rec.row(k, k, f, gnorm, x):
         if float(g @ d) >= 0.0:
             d = -g  # restart on non-descent
         if exact_line_search:
@@ -345,8 +229,7 @@ def run_nonlinear_cg(obj, x0, grad_tol=1e-8, f_tol=0.0, max_iters=1000,
             try:
                 t_step, f = line_search_backtracking(obj, x, d, f, g)
             except LineSearchError:
-                status = "line_search_failed"
-                break
+                return x, rec.finish("line_search_failed")
             x = x + t_step * d
             g_new = obj.grad(x)
         beta = max(0.0, float(g_new @ (g_new - g)) / float(g @ g))
@@ -354,11 +237,4 @@ def run_nonlinear_cg(obj, x0, grad_tol=1e-8, f_tol=0.0, max_iters=1000,
         g = g_new
         gnorm = float(np.linalg.norm(g))
         k += 1
-        _row(trace, t0, k, k, f, gnorm, obj.counters, _fopt(obj))
-        if callback:
-            callback(k, x)
-        if f_tol > 0 and abs(f_prev - f) <= f_tol * (1.0 + abs(f)):
-            status = "f_tol"
-            break
-    trace.header["status"] = status
-    return x, trace
+    return x, rec.finish()

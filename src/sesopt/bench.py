@@ -26,7 +26,7 @@ from .core import seeded_rng
 from .problems import ProblemSpec
 from .sesop import SesopConfig, run_sesop
 from .tn import run_sesop_tn, run_tn_classic
-from .trace import _fopt, emit_plot_data, new_trace, snr_db, write_trace_csv
+from .trace import emit_plot_data, snr_db, write_trace_csv
 
 __all__ = ["ExperimentPlan", "EXPERIMENTS", "parse_solver", "run_solver",
            "run_experiment", "run_single", "write_summary_csv",
@@ -100,6 +100,8 @@ def run_solver(spec, obj, x0=None, max_iters=1000, grad_tol=1e-8,
     """
     name, opts = parse_solver(spec)
     x0 = np.zeros(obj.dim) if x0 is None else np.asarray(x0, dtype=np.float64)
+    if max_cum_steps is not None and name not in ("tn", "sesop_tn"):
+        max_iters = min(max_iters, max_cum_steps)  # one step per iteration
 
     if name == "cg":
         # normal-equations CG for a composite least-squares objective
@@ -108,13 +110,9 @@ def run_solver(spec, obj, x0=None, max_iters=1000, grad_tol=1e-8,
         op, b = obj.op, obj.b
         mv = lambda v: 2.0 * op.adjoint(op.apply(v))
         rhs = 2.0 * op.adjoint(b)
-        obj.counters.reset()
-        header = dict(new_trace(obj, spec).header)
         x, trace = run_linear_cg(mv, rhs, x0, tol=_as_float(opts, "tol", 1e-10),
-                                 max_iters=_as_int(opts, "max_iters",
-                                                   max_cum_steps or max_iters),
-                                 f_offset=float(b @ b), counters=obj.counters,
-                                 header=header, f_opt=_fopt(obj),
+                                 max_iters=_as_int(opts, "max_iters", max_iters),
+                                 f_offset=float(b @ b), obj=obj,
                                  max_matvecs=max_matvecs)
     elif name == "sd":
         x, trace = run_steepest_descent(

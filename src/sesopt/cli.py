@@ -49,10 +49,10 @@ def _build_parser():
                    help="operator-application budget per run")
     p.add_argument("--tol", type=float, default=None,
                    help="objective threshold for summary *-to-tol columns")
-    p.add_argument("--max-iters", type=int, default=1000,
-                   help="iteration cap for single-cell runs")
-    p.add_argument("--grad-tol", type=float, default=1e-8,
-                   help="stationarity stop for single-cell runs")
+    p.add_argument("--max-iters", type=int, default=None,
+                   help="iteration cap for single-cell runs (default 1000)")
+    p.add_argument("--grad-tol", type=float, default=None,
+                   help="stationarity stop for single-cell runs (default 1e-8)")
     return p
 
 
@@ -74,6 +74,12 @@ def main(argv=None):
     if args.problem and not args.solver:
         print("error: --problem needs --solver", file=sys.stderr)
         return 1
+    if args.experiment and (args.max_iters is not None
+                            or args.grad_tol is not None):
+        # an experiment's plan fixes its own stop rules
+        print("error: --max-iters and --grad-tol apply to single-cell runs "
+              "only", file=sys.stderr)
+        return 1
 
     try:
         if args.experiment:
@@ -91,8 +97,10 @@ def main(argv=None):
                 files += run_single(args.problem, args.solver, seed=seed,
                                     out_dir=out_dir,
                                     max_matvecs=args.max_matvecs,
-                                    grad_tol=args.grad_tol,
-                                    max_iters=args.max_iters,
+                                    grad_tol=1e-8 if args.grad_tol is None
+                                    else args.grad_tol,
+                                    max_iters=1000 if args.max_iters is None
+                                    else args.max_iters,
                                     summary_tol=args.tol if args.tol is not None
                                     else 1e-8)
     except ValueError as exc:

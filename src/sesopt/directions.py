@@ -18,7 +18,6 @@ from .core import NewtonUnavailableError
 __all__ = [
     "DirectionKind",
     "OrthState",
-    "dir_gradient",
     "dir_orth_update",
     "dir_newton",
 ]
@@ -29,11 +28,6 @@ class DirectionKind(str, Enum):
     PCD = "pcd"
     SSF = "ssf"
     NEWTON = "newton"
-
-
-def dir_gradient(g):
-    """Steepest descent direction -g."""
-    return -np.asarray(g, dtype=np.float64)
 
 
 @dataclass

@@ -15,7 +15,6 @@ this costs exactly two operator applications per outer iteration.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ from .directions import DirectionKind, OrthState, dir_newton, dir_orth_update
 from .kernels import (pcd_direction, pcd_reciprocals, smooth_abs_grad,
                       ssf_direction)
 from .subspace import HistoryBuffer, build_frame, subspace_minimize
-from .trace import _fopt, new_trace
+from .trace import Recorder
 
 __all__ = ["SesopConfig", "run_sesop", "run_sesop_newton"]
 
@@ -49,24 +48,11 @@ class SesopConfig:
     max_matvecs: int | None = 100_000
     inner_tol: float = 1e-10
     max_inner: int = 20
-    reuse_products: bool = True
 
 
 def _desc(cfg):
     return (f"name=sesop,direction={cfg.direction},orth={int(cfg.include_orth)},"
             f"history={cfg.history}")
-
-
-def _finish(trace, status, events):
-    trace.header["status"] = status
-    if events:
-        trace.header["events"] = ",".join(
-            f"{name}:{events[name]}" for name in sorted(events))
-
-
-def _note(events, names):
-    for name in names:
-        events[name] = events.get(name, 0) + 1
 
 
 def run_sesop(obj, x0, config=None, callback=None, aux_metric=None):
@@ -83,7 +69,12 @@ def run_sesop(obj, x0, config=None, callback=None, aux_metric=None):
     every recorded iterate and stored in the trace's aux column.
     """
     cfg = config if config is not None else SesopConfig()
-    direction = DirectionKind(cfg.direction)
+    try:
+        direction = DirectionKind(cfg.direction)
+    except ValueError:
+        raise ValueError(
+            f"{cfg.direction!r} is not a valid direction; valid: "
+            + ", ".join(sorted(d.value for d in DirectionKind))) from None
     if isinstance(obj, CompositeObjective):
         return _run_composite(obj, x0, cfg, direction, callback, aux_metric)
     return _run_smooth(obj, x0, cfg, direction, callback, aux_metric)
@@ -98,9 +89,9 @@ def run_sesop_newton(obj, x0, config=None, callback=None):
 
 def _run_composite(comp, x0, cfg, direction, callback, aux_metric=None):
     c = comp.ssf_constant  # force the lazy power iteration before reset
-    counters = comp.counters
-    counters.reset()
-    t0 = time.perf_counter()
+    rec = Recorder(comp, _desc(cfg), stop_at=cfg.grad_tol, f_tol=cfg.f_tol,
+                   max_iters=cfg.max_iters, max_matvecs=cfg.max_matvecs,
+                   callback=callback, aux_metric=aux_metric)
     op, mu, eps = comp.op, comp.mu, comp.smoothing_eps
     if direction == DirectionKind.PCD:
         col_nsq = op.column_norms_sq()
@@ -112,42 +103,15 @@ def _run_composite(comp, x0, cfg, direction, callback, aux_metric=None):
     r = comp.residual(x)
     r_start = r.copy()
     f = comp.value_from_residual(r, x)
-    f_prev = f
     orth = OrthState(x) if cfg.include_orth else None
     hist = HistoryBuffer(max(cfg.history, 1))
-    trace = new_trace(comp, _desc(cfg))
-    if aux_metric is not None:
-        trace.aux_name = aux_metric[0]
-    events = {}
-    f_opt = _fopt(comp)
 
-    status = "max_iters"
     k = 0
     while True:
         atr = op.adjoint(r)
         d_ssf = ssf_direction(x, atr, c, mu)
-        stat = float(np.max(np.abs(d_ssf)))
-        trace.add(iter=k, cum_steps=k, f_value=f,
-                  f_minus_fopt=None if f_opt is None else f - f_opt,
-                  stat_norm=stat, matvecs=counters.matvecs,
-                  hvps=counters.hvps,
-                  wall_ms=(time.perf_counter() - t0) * 1e3,
-                  aux=aux_metric[1](x) if aux_metric else None)
-        if callback:
-            callback(k, x)
-        if stat <= cfg.grad_tol:
-            status = "stationary"
+        if rec.row(k, k, f, float(np.max(np.abs(d_ssf))), x):
             break
-        if cfg.f_tol > 0 and k > 0 and abs(f_prev - f) <= cfg.f_tol * (1.0 + abs(f)):
-            status = "f_tol"
-            break
-        if k >= cfg.max_iters:
-            status = "max_iters"
-            break
-        if cfg.max_matvecs is not None and counters.matvecs >= cfg.max_matvecs:
-            status = "max_matvecs"
-            break
-        f_prev = f
 
         g_s = None  # smoothed gradient, for the columns that use it
         if direction not in (DirectionKind.PCD, DirectionKind.SSF) or orth is not None:
@@ -164,7 +128,7 @@ def _run_composite(comp, x0, cfg, direction, callback, aux_metric=None):
                 d_n = dir_newton(comp, x, g_s)
                 cols.append((d_n, "newton", None))
             except NewtonUnavailableError:
-                _note(events, ["newton_unavailable"])
+                rec.note(["newton_unavailable"])
             cols.append((-g_s, "gradient", None))
         else:
             cols.append((-g_s, "gradient", None))
@@ -174,28 +138,26 @@ def _run_composite(comp, x0, cfg, direction, callback, aux_metric=None):
             cols.append((tstep, "orth_tstep", r - r_start))
 
         frame = build_frame(x, cols, hist, cfg.history, op=op,
-                            with_products=True,
-                            reuse_products=cfg.reuse_products)
+                            with_products=True)
         res = subspace_minimize(comp, frame, inner_tol=cfg.inner_tol,
                                 max_inner=cfg.max_inner, residual=r)
-        _note(events, res.events)
+        rec.note(res.events)
         step = res.x - x
         if not np.any(res.alpha) or not step.any():
-            status = "stalled"  # no step, or one lost below x's last digit
-            break
+            # no step, or one lost below x's last digit
+            return x, rec.finish("stalled")
         hist.push_step(step, res.residual - r)
         x, r, f = res.x, res.residual, res.f
         k += 1
-    _finish(trace, status, events)
-    return x, trace
+    return x, rec.finish()
 
 
 def _run_smooth(obj, x0, cfg, direction, callback, aux_metric=None):
     if direction in (DirectionKind.PCD, DirectionKind.SSF):
         raise TypeError(f"direction {direction.value!r} needs a composite objective")
-    counters = obj.counters
-    counters.reset()
-    t0 = time.perf_counter()
+    rec = Recorder(obj, _desc(cfg), f_tol=cfg.f_tol, max_iters=cfg.max_iters,
+                   max_matvecs=cfg.max_matvecs, callback=callback,
+                   aux_metric=aux_metric)
 
     # linear-loss objectives carry z = A x and cache the frame's products
     op = obj.linear_map if "linear_loss" in obj.capabilities else None
@@ -203,48 +165,19 @@ def _run_smooth(obj, x0, cfg, direction, callback, aux_metric=None):
     z = None if op is None else op.apply(x)
     z_start = z
     f, g = obj.value_and_grad(x)
-    f_prev = f
     gnorm = float(np.linalg.norm(g))
-    stop_at = cfg.grad_tol * (1.0 + gnorm)
+    rec.stop_at = cfg.grad_tol * (1.0 + gnorm)
     orth = OrthState(x) if cfg.include_orth else None
     hist = HistoryBuffer(max(cfg.history, 1))
-    trace = new_trace(obj, _desc(cfg))
-    if aux_metric is not None:
-        trace.aux_name = aux_metric[0]
-    events = {}
-    f_opt = _fopt(obj)
 
-    status = "max_iters"
     k = 0
-    while True:
-        trace.add(iter=k, cum_steps=k, f_value=f,
-                  f_minus_fopt=None if f_opt is None else f - f_opt,
-                  stat_norm=gnorm, matvecs=counters.matvecs,
-                  hvps=counters.hvps,
-                  wall_ms=(time.perf_counter() - t0) * 1e3,
-                  aux=aux_metric[1](x) if aux_metric else None)
-        if callback:
-            callback(k, x)
-        if gnorm <= stop_at:
-            status = "stationary"
-            break
-        if cfg.f_tol > 0 and k > 0 and abs(f_prev - f) <= cfg.f_tol * (1.0 + abs(f)):
-            status = "f_tol"
-            break
-        if k >= cfg.max_iters:
-            status = "max_iters"
-            break
-        if cfg.max_matvecs is not None and counters.matvecs >= cfg.max_matvecs:
-            status = "max_matvecs"
-            break
-        f_prev = f
-
+    while not rec.row(k, k, f, gnorm, x):
         cols = []
         if direction == DirectionKind.NEWTON:
             try:
                 cols.append((dir_newton(obj, x, g), "newton", None))
             except NewtonUnavailableError:
-                _note(events, ["newton_unavailable"])
+                rec.note(["newton_unavailable"])
             cols.append((-g, "gradient", None))
         else:
             cols.append((-g, "gradient", None))
@@ -254,15 +187,14 @@ def _run_smooth(obj, x0, cfg, direction, callback, aux_metric=None):
             cols.append((tstep, "orth_tstep", None if z is None else z - z_start))
 
         frame = build_frame(x, cols, hist, cfg.history, op=op,
-                            with_products=op is not None,
-                            reuse_products=cfg.reuse_products)
+                            with_products=op is not None)
         res = subspace_minimize(obj, frame, inner_tol=cfg.inner_tol,
                                 max_inner=cfg.max_inner, residual=z)
-        _note(events, res.events)
+        rec.note(res.events)
         step = res.x - x
         if not np.any(res.alpha) or not step.any():
-            status = "stalled"  # no step, or one lost below x's last digit
-            break
+            # no step, or one lost below x's last digit
+            return x, rec.finish("stalled")
         if z is None:
             hist.push_step(step)
         else:  # D alpha and A D alpha, free of the cancellation in x and z
@@ -271,5 +203,4 @@ def _run_smooth(obj, x0, cfg, direction, callback, aux_metric=None):
         f, g = obj.value_and_grad(x)
         gnorm = float(np.linalg.norm(g))
         k += 1
-    _finish(trace, status, events)
-    return x, trace
+    return x, rec.finish()

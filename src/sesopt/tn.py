@@ -18,7 +18,6 @@ far as one more CG step would.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +25,7 @@ import numpy as np
 from .core import CompositeObjective
 from .subspace import (HistoryBuffer, LineSearchError, build_frame,
                        line_search_backtracking, subspace_minimize)
-from .trace import _fopt, new_trace
+from .trace import Recorder
 
 __all__ = ["QuadraticModel", "InnerCgState", "inner_cg", "run_tn_classic",
            "run_sesop_tn"]
@@ -199,44 +198,18 @@ def run_tn_classic(obj, x0, l_max=10, grad_tol=1e-8, f_tol=0.0, max_iters=500,
     """
     if "hvp" not in obj.capabilities:
         raise TypeError("truncated Newton needs Hessian-vector products")
-    obj.counters.reset()
-    t0 = time.perf_counter()
+    rec = Recorder(obj, f"name=tn,l_max={l_max}", f_tol=f_tol,
+                   max_iters=max_iters, max_steps=max_cum_steps,
+                   max_matvecs=max_matvecs, callback=callback)
     x = np.array(x0, dtype=np.float64)
     f, g = obj.value_and_grad(x)
     gnorm0 = float(np.linalg.norm(g))
     gnorm = gnorm0
-    stop_at = grad_tol * (1.0 + gnorm0)
-    f_opt = _fopt(obj)
+    rec.stop_at = grad_tol * (1.0 + gnorm0)
 
-    trace = new_trace(obj, f"name=tn,l_max={l_max}")
     cum = 0
     k = 0
-    status = "max_iters"
-
-    def row():
-        trace.add(iter=k, cum_steps=cum, f_value=f,
-                  f_minus_fopt=None if f_opt is None else f - f_opt,
-                  stat_norm=gnorm, matvecs=obj.counters.matvecs,
-                  hvps=obj.counters.hvps,
-                  wall_ms=(time.perf_counter() - t0) * 1e3)
-
-    row()
-    if callback:
-        callback(k, x)
-    while True:
-        if gnorm <= stop_at:
-            status = "stationary"
-            break
-        if k >= max_iters:
-            status = "max_iters"
-            break
-        if max_cum_steps is not None and cum >= max_cum_steps:
-            status = "max_steps"
-            break
-        if max_matvecs is not None and obj.counters.matvecs >= max_matvecs:
-            status = "max_matvecs"
-            break
-        f_prev = f
+    while not rec.row(k, cum, f, gnorm, x):
         model = QuadraticModel(obj, x, f, g)
         st = inner_cg(model, l_max, _forcing(gnorm, gnorm0))
         cum += st.n_steps
@@ -248,25 +221,17 @@ def run_tn_classic(obj, x0, l_max=10, grad_tol=1e-8, f_tol=0.0, max_iters=500,
                 t_step, f = line_search_backtracking(obj, x, -g, f, g)
                 x = x - t_step * g
             except (LineSearchError, ValueError):
-                status = "line_search_failed"
-                break
+                return x, rec.finish("line_search_failed")
         g = obj.grad(x)
         gnorm = float(np.linalg.norm(g))
         k += 1
-        row()
-        if callback:
-            callback(k, x)
-        if f_tol > 0 and abs(f_prev - f) <= f_tol * (1.0 + abs(f)):
-            status = "f_tol"
-            break
-    trace.header["status"] = status
-    return x, trace
+    return x, rec.finish()
 
 
-def run_sesop_tn(obj, x0, l_max=10, outer_history=2, include_prev_grad=True,
-                 grad_tol=1e-8, f_tol=0.0, max_iters=500, max_cum_steps=None,
-                 max_matvecs=None, inner_tol=1e-10, max_inner=20,
-                 trace_inner=False, callback=None):
+def run_sesop_tn(obj, x0, l_max=10, outer_history=2, grad_tol=1e-8, f_tol=0.0,
+                 max_iters=500, max_cum_steps=None, max_matvecs=None,
+                 inner_tol=1e-10, max_inner=20, trace_inner=False,
+                 callback=None):
     """Truncated Newton with a subspace step instead of the line search.
 
     After each truncated inner run the next iterate is the exact minimizer
@@ -291,8 +256,10 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, include_prev_grad=True,
         raise TypeError("subspace TN needs a smooth objective; pass .smoothed()")
     if "hvp" not in obj.capabilities:
         raise TypeError("truncated Newton needs Hessian-vector products")
-    obj.counters.reset()
-    t0 = time.perf_counter()
+    rec = Recorder(
+        obj, f"name=sesop_tn,l_max={l_max},outer_history={outer_history}",
+        f_tol=f_tol, max_iters=max_iters, max_steps=max_cum_steps,
+        max_matvecs=max_matvecs, callback=callback)
     # r carries A x - b (composite) or A x (linear loss) across iterations
     if is_comp:
         op = obj.op
@@ -309,50 +276,21 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, include_prev_grad=True,
         f, g = obj.value_and_grad(x)
     gnorm0 = float(np.linalg.norm(g))
     gnorm = gnorm0
-    stop_at = grad_tol * (1.0 + gnorm0)
-    f_opt = _fopt(obj)
+    rec.stop_at = grad_tol * (1.0 + gnorm0)
 
     hist = HistoryBuffer(max(outer_history, 1))
     prev_grad = None
     warm = None
-    trace = new_trace(
-        obj, f"name=sesop_tn,l_max={l_max},outer_history={outer_history}")
-    events = {}
     cum = 0
     k = 0
-    status = "max_iters"
-
-    def row(it, cm, fv, sn):
-        trace.add(iter=it, cum_steps=cm, f_value=fv,
-                  f_minus_fopt=None if f_opt is None else fv - f_opt,
-                  stat_norm=sn, matvecs=obj.counters.matvecs,
-                  hvps=obj.counters.hvps,
-                  wall_ms=(time.perf_counter() - t0) * 1e3)
-
-    row(0, 0, f, gnorm)
-    if callback:
-        callback(0, x)
-    while True:
-        if gnorm <= stop_at:
-            status = "stationary"
-            break
-        if k >= max_iters:
-            status = "max_iters"
-            break
-        if max_cum_steps is not None and cum >= max_cum_steps:
-            status = "max_steps"
-            break
-        if max_matvecs is not None and obj.counters.matvecs >= max_matvecs:
-            status = "max_matvecs"
-            break
-        f_prev = f
+    while not rec.row(k, cum, f, gnorm, x):
         model = QuadraticModel(obj, x, f, g)
         st = inner_cg(model, l_max, _forcing(gnorm, gnorm0), warm_pair=warm)
         if trace_inner:
             q_run = f
             for j, dq in enumerate(st.q_deltas, start=1):
                 q_run += dq
-                row(k, cum + j, q_run, None)
+                rec.inner_row(k, cum + j, q_run)
         cum += st.n_steps
 
         cols = []
@@ -361,18 +299,17 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, include_prev_grad=True,
         cols.append((st.model_grad, "tn_model_grad", None))
         if st.last_step is not None:
             cols.append((st.last_step, "tn_last_dir", None))
-        if include_prev_grad and prev_grad is not None:
+        if prev_grad is not None:
             cols.append((prev_grad, "grad_prev", None))
         frame = build_frame(x, cols, hist, outer_history, op=op,
                             with_products=op is not None)
         res = subspace_minimize(obj, frame, inner_tol=inner_tol,
                                 max_inner=max_inner, residual=r)
-        for name in res.events:
-            events[name] = events.get(name, 0) + 1
+        rec.note(res.events)
         step = res.x - x
         if not np.any(res.alpha) or not step.any():
-            status = "stalled"  # no step, or one lost below x's last digit
-            break
+            # no step, or one lost below x's last digit
+            return x, rec.finish("stalled")
         cum += 1  # the subspace step advances like one more CG step
         if is_comp or op is None:
             hist.push_step(step, None if r is None else res.residual - r)
@@ -385,14 +322,4 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, include_prev_grad=True,
         x, g = res.x, g_new
         gnorm = float(np.linalg.norm(g))
         k += 1
-        row(k, cum, f, gnorm)
-        if callback:
-            callback(k, x)
-        if f_tol > 0 and abs(f_prev - f) <= f_tol * (1.0 + abs(f)):
-            status = "f_tol"
-            break
-    trace.header["status"] = status
-    if events:
-        trace.header["events"] = ",".join(
-            f"{name}:{events[name]}" for name in sorted(events))
-    return x, trace
+    return x, rec.finish()

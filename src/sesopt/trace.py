@@ -5,17 +5,22 @@ config, seed, library version, run status) plus one record per solver
 iteration. The CSV body is deterministic: floats are written with
 shortest round-trip decimals (repr) and per-row wall-clock times are kept
 in memory only, so re-running a seeded experiment reproduces the file
-byte for byte. Wall totals belong in the run manifest.
+byte for byte. Wall totals belong in the run manifest. Solvers fill
+their traces through a Recorder, which also keeps the stop rules they
+share.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["TraceRecord", "Trace", "new_trace", "write_trace_csv",
+from .core import Counters
+
+__all__ = ["TraceRecord", "Trace", "Recorder", "new_trace", "write_trace_csv",
            "read_trace_csv", "emit_plot_data", "snr_db"]
 
 _MAGIC = "sesopt-trace v1"
@@ -90,6 +95,96 @@ def _fopt(obj):
     """The objective's known optimal value, or None."""
     gt = getattr(obj, "ground_truth", None)
     return None if gt is None else gt.f_opt
+
+
+class Recorder:
+    """The bookkeeping every solver run shares: counters, rows, stop rules.
+
+    Creating one resets the objective's counters and starts the clock, so
+    row 0 counts the products spent on the starting point. ``row`` records
+    one iterate, fires ``callback(iter, x)`` on it and checks the stop
+    rules in a fixed order: stationary (``stat_norm <= stop_at``), f_tol
+    (relative change of f since the previous row), max_iters, max_steps
+    (cumulative steps) and max_matvecs. ``finish`` writes the status and
+    the event tally into the header. A solver that stops for a reason of
+    its own (breakdown, a failed line search, a stall) passes that status
+    to ``finish``.
+
+    ``stop_at`` is the absolute threshold on the stationarity measure; a
+    solver whose threshold is relative to the starting point sets it once
+    that point is evaluated. With ``obj=None`` (linear CG on a bare matvec)
+    the run counts on counters of its own and the header names only the
+    solver. ``aux_metric`` is an optional (name, fn) pair; fn(x) fills the
+    trace's aux column at every iterate.
+    """
+
+    def __init__(self, obj, solver_desc, *, max_iters, stop_at=0.0, f_tol=0.0,
+                 max_steps=None, max_matvecs=None, callback=None,
+                 aux_metric=None):
+        self.counters = Counters() if obj is None else obj.counters
+        self.counters.reset()
+        self.t0 = time.perf_counter()
+        self.trace = (Trace(header={"solver": solver_desc}) if obj is None
+                      else new_trace(obj, solver_desc))
+        self.f_opt = _fopt(obj)
+        self.aux_fn = None
+        if aux_metric is not None:
+            self.trace.aux_name, self.aux_fn = aux_metric
+        self.stop_at, self.f_tol, self.max_iters = stop_at, f_tol, max_iters
+        self.max_steps, self.max_matvecs = max_steps, max_matvecs
+        self.callback = callback
+        self.f_prev = None
+        self.status = None
+        self.events = {}
+
+    def _add(self, it, cum, f, stat, aux):
+        # positional, in TraceRecord's field order: building the keyword
+        # dict of Trace.add doubles the cost of a row, which shows on
+        # solvers whose iterations take tens of microseconds (FISTA)
+        c = self.counters
+        self.trace.records.append(TraceRecord(
+            it, cum, f, None if self.f_opt is None else f - self.f_opt, stat,
+            c.matvecs, c.hvps, (time.perf_counter() - self.t0) * 1e3, aux))
+
+    def row(self, it, cum, f, stat, x):
+        """Record iterate ``it``; returns the stop rule that holds, or None."""
+        aux = None if self.aux_fn is None else self.aux_fn(x)
+        self._add(it, cum, f, stat, aux)
+        if self.callback:
+            self.callback(it, x)
+        if stat <= self.stop_at:
+            self.status = "stationary"
+        elif (self.f_tol > 0 and self.f_prev is not None
+              and abs(self.f_prev - f) <= self.f_tol * (1.0 + abs(f))):
+            self.status = "f_tol"
+        elif it >= self.max_iters:
+            self.status = "max_iters"
+        elif self.max_steps is not None and cum >= self.max_steps:
+            self.status = "max_steps"
+        elif (self.max_matvecs is not None
+              and self.counters.matvecs >= self.max_matvecs):
+            self.status = "max_matvecs"
+        self.f_prev = f
+        return self.status
+
+    def inner_row(self, it, cum, f):
+        """A row between iterates (a model value inside an inner run): no
+        stationarity measure, no callback and no stop rule."""
+        self._add(it, cum, f, None, None)
+
+    def note(self, names):
+        """Tally named events, such as those a frame solve reports."""
+        for name in names:
+            self.events[name] = self.events.get(name, 0) + 1
+
+    def finish(self, status=None):
+        """Write the status (the solver's own, else the stop rule that
+        held) and the event tally into the header; returns the trace."""
+        self.trace.header["status"] = status or self.status
+        if self.events:
+            self.trace.header["events"] = ",".join(
+                f"{name}:{self.events[name]}" for name in sorted(self.events))
+        return self.trace
 
 
 def write_trace_csv(trace, path, include_wall=False):

@@ -2,17 +2,12 @@ import numpy as np
 import pytest
 
 from sesopt import (CallableObjective, CompositeObjective, DenseOperator,
-                    NewtonUnavailableError, OrthState, SesopConfig, dir_gradient,
-                    dir_newton, dir_orth_update, run_fista, run_sesop,
-                    seeded_rng, soft_threshold)
+                    NewtonUnavailableError, OrthState, SesopConfig, dir_newton,
+                    dir_orth_update, run_fista, run_sesop, seeded_rng,
+                    soft_threshold)
 from sesopt.kernels import pcd_direction, pcd_reciprocals, ssf_direction
 
 from conftest import small_l1, small_quadratic
-
-
-def test_dir_gradient():
-    g = np.array([1.0, -2.0, 0.0])
-    np.testing.assert_array_equal(dir_gradient(g), -g)
 
 
 # -- PCD ----------------------------------------------------------------------

@@ -73,6 +73,8 @@ def test_composite_directions_require_composite():
             run_sesop(smooth, np.zeros(4), SesopConfig(direction=d))
     with pytest.raises(ValueError, match="'tn' is not a valid"):
         run_sesop(smooth, np.zeros(4), SesopConfig(direction="tn"))
+    with pytest.raises(ValueError, match="valid: gradient, newton, pcd, ssf$"):
+        run_sesop(smooth, np.zeros(4), SesopConfig(direction="cg"))
 
 
 def test_composite_operator_budget_two_per_iteration():

@@ -1,12 +1,14 @@
+import functools
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sesopt import (Trace, emit_plot_data, make_quadratic_ls, read_trace_csv,
-                    snr_db, write_trace_csv)
-from sesopt.bench import parse_solver, run_single, run_solver
+from sesopt import (Trace, emit_plot_data, make_l1_ls, make_quadratic_ls,
+                    read_trace_csv, snr_db, write_trace_csv)
+from sesopt import bench
+from sesopt.bench import SOLVER_OPTIONS, parse_solver, run_single, run_solver
 from sesopt.cli import main
 
 
@@ -135,6 +137,48 @@ def test_run_solver_rejects_options_the_solver_does_not_read(spec, valid):
         run_solver(spec, obj, max_iters=3)
 
 
+# the runners run_solver dispatches to, each of which takes a callback
+_RUNNERS = ("run_linear_cg", "run_steepest_descent", "run_nonlinear_cg",
+            "run_ssf_iteration", "run_fista", "run_sesop", "run_tn_classic",
+            "run_sesop_tn")
+
+
+@pytest.mark.parametrize("name", list(SOLVER_OPTIONS))
+def test_every_solver_counts_records_and_stops_alike(name, monkeypatch):
+    seen = []
+    for fn in _RUNNERS:
+        monkeypatch.setattr(bench, fn, functools.partial(
+            getattr(bench, fn), callback=lambda k, x: seen.append(k)))
+
+    def run(**budget):
+        # the proximal and subspace solvers get an l1 problem, on which
+        # sesop_newton cannot finish in one exact Newton step
+        obj = (make_quadratic_ls(40, seed=3)
+               if name in ("cg", "sd", "nlcg", "tn", "sesop_tn")
+               else make_l1_ls(20, 40, seed=3, mu=1e-3))
+        obj.counters.matvecs = obj.counters.hvps = 999  # the run resets them
+        seen.clear()
+        _, trace = run_solver(name, obj, grad_tol=0.0, **budget)
+        first = trace.records[0]
+        assert (first.iter, first.cum_steps) == (0, 0)
+        assert (first.matvecs, first.hvps) == (2, 0)  # the starting point's
+        assert seen == [rec.iter for rec in trace.records]
+        return trace, trace.final, trace.records[-2]
+
+    trace, last, _ = run(max_iters=4)
+    assert trace.header["status"] == "max_iters" and last.iter == 4
+    trace, last, before = run(max_matvecs=15)
+    assert trace.header["status"] == "max_matvecs"
+    assert last.matvecs >= 15 > before.matvecs
+    trace, last, before = run(max_cum_steps=6)
+    if name in ("tn", "sesop_tn"):
+        assert trace.header["status"] == "max_steps"
+        assert last.cum_steps >= 6 > before.cum_steps
+    else:  # one step per iteration: the step budget caps the iterations
+        assert trace.header["status"] == "max_iters"
+        assert last.iter == last.cum_steps == 6
+
+
 # -- CLI ---------------------------------------------------------------------------
 
 def test_cli_single_cell_success(tmp_path, capsys):
@@ -160,6 +204,13 @@ def test_cli_flag_validation(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "unknown solver" in err
+    # an experiment's plan fixes its stop rules; the single-cell flags
+    # must not be silently dropped
+    for flag, value in (("--max-iters", "3"), ("--grad-tol", "1.0")):
+        assert main(["--experiment", "bound_1k2", flag, value,
+                     "--out", str(tmp_path / "exp")]) == 1
+        assert "single-cell runs only" in capsys.readouterr().err
+    assert not (tmp_path / "exp").exists()
 
 
 def test_cli_reports_solver_failure(tmp_path, capsys):
