@@ -110,8 +110,10 @@ def run_solver(spec, obj, x0=None, max_iters=1000, grad_tol=1e-8,
         op, b = obj.op, obj.b
         mv = lambda v: 2.0 * op.adjoint(op.apply(v))
         rhs = 2.0 * op.adjoint(b)
+        # the spec's max_iters= caps the run's budgets, never raises them
+        cg_iters = min(max_iters, _as_int(opts, "max_iters", max_iters))
         x, trace = run_linear_cg(mv, rhs, x0, tol=_as_float(opts, "tol", 1e-10),
-                                 max_iters=_as_int(opts, "max_iters", max_iters),
+                                 max_iters=cg_iters,
                                  f_offset=float(b @ b), obj=obj,
                                  max_matvecs=max_matvecs)
     elif name == "sd":

@@ -311,9 +311,9 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, grad_tol=1e-8, f_tol=0.0,
             # no step, or one lost below x's last digit
             return x, rec.finish("stalled")
         cum += 1  # the subspace step advances like one more CG step
-        if is_comp or op is None:
-            hist.push_step(step, None if r is None else res.residual - r)
-        else:  # D alpha and A D alpha, free of the cancellation in x and z
+        if op is None:
+            hist.push_step(step)
+        else:  # D alpha and A D alpha, free of the cancellation in x and r
             hist.push_step(frame.basis @ res.alpha, frame.products @ res.alpha)
         prev_grad = g
         r, f = res.residual, res.f

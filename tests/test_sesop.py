@@ -3,7 +3,8 @@ import pytest
 
 from sesopt import (CallableObjective, SesopConfig, make_expsquares,
                     make_l1_ls, make_quadratic_ls, run_linear_cg, run_sesop,
-                    run_sesop_newton, seeded_rng, snr_db)
+                    run_sesop_newton, seeded_rng, snr_db, subspace_minimize)
+from sesopt import sesop as sesop_module
 
 from conftest import assert_monotone
 
@@ -191,3 +192,71 @@ def test_smooth_sesop_stalls_once_the_iterate_stops_moving():
     assert tr.header["status"] == "stalled"
     assert len(seen) == tr.final.iter + 1 > 100
     assert not any(np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
+
+
+def _record_frame_solves(monkeypatch):
+    """List that collects (objective, frame, result) of every frame solve
+    run_sesop makes."""
+    solves = []
+
+    def recorded(obj, frame, *args, **kwargs):
+        res = subspace_minimize(obj, frame, *args, **kwargs)
+        solves.append((obj, frame, res))
+        return res
+
+    monkeypatch.setattr(sesop_module, "subspace_minimize", recorded)
+    return solves
+
+
+def test_frame_solves_take_at_most_two_newton_steps(monkeypatch):
+    solves = _record_frame_solves(monkeypatch)
+    runs = [(make_l1_ls(60, 120, seed=3), np.zeros(120),
+             SesopConfig(direction=d, history=7, grad_tol=0.0, max_iters=150))
+            for d in ("pcd", "ssf")]
+    runs.append((make_expsquares(200), 0.5 * seeded_rng(1).standard_normal(200),
+                 SesopConfig(direction="gradient", include_orth=True,
+                             grad_tol=0.0, max_iters=150)))
+    for obj, x0, cfg in runs:
+        solves.clear()
+        run_sesop(obj, x0, cfg)
+        steps = [res.inner_iters for _, _, res in solves]
+        assert len(steps) >= 20
+        assert max(steps) == 2, f"{cfg.direction}: {max(steps)} Newton steps"
+
+
+def test_composite_history_products_stay_fresh(monkeypatch):
+    # the history's cached products are pushed as P alpha, not as the
+    # difference of two residuals, which loses digits once steps are small;
+    # a step that nearly cancels its columns still magnifies their errors,
+    # which this instance does not provoke
+    solves = _record_frame_solves(monkeypatch)
+    obj = make_l1_ls(60, 120, seed=3)
+    run_sesop(obj, np.zeros(120), SesopConfig(direction="pcd", history=7,
+                                              grad_tol=0.0, max_iters=500))
+    assert len(solves) == 500
+    worst = 0.0
+    for _, frame, _ in solves:
+        exact = obj.op.matrix @ frame.basis
+        err = (np.linalg.norm(frame.products - exact, axis=0)
+               / np.linalg.norm(exact, axis=0))
+        worst = max(worst, float(err.max()))
+    assert worst <= 1e-12, f"worst relative product error {worst:.2e}"
+
+
+def test_composite_history_product_error_stays_bounded(monkeypatch):
+    # here steps come to nearly cancel their columns (|alpha| / |D alpha|
+    # near 30), so each pushed P alpha magnifies the errors of the cached
+    # products it combines; the error climbs to about 4e-9 by iteration
+    # 600 and stays there (the difference push reached 6e-7 by 300)
+    solves = _record_frame_solves(monkeypatch)
+    obj = make_l1_ls(40, 80, seed=1)
+    run_sesop(obj, np.zeros(80), SesopConfig(direction="pcd", history=7,
+                                             grad_tol=0.0, max_iters=1000))
+    assert len(solves) == 1000
+    worst = 0.0
+    for _, frame, _ in solves:
+        exact = obj.op.matrix @ frame.basis
+        err = (np.linalg.norm(frame.products - exact, axis=0)
+               / np.linalg.norm(exact, axis=0))
+        worst = max(worst, float(err.max()))
+    assert worst <= 1e-8, f"worst relative product error {worst:.2e}"

@@ -137,6 +137,19 @@ def test_run_solver_rejects_options_the_solver_does_not_read(spec, valid):
         run_solver(spec, obj, max_iters=3)
 
 
+def test_cg_spec_iteration_cap_never_raises_the_run_budgets():
+    # as in sesop_cg_equiv: the spec asks for 110 steps, the plan allows 105
+    obj = make_quadratic_ls(120, seed=1)
+    for budget in ({"max_cum_steps": 105}, {"max_iters": 105}):
+        _, tr = run_solver("cg:tol=0.0,max_iters=110", obj, grad_tol=0.0,
+                           **budget)
+        assert tr.header["status"] == "max_iters"
+        assert tr.final.iter == tr.final.cum_steps == 105
+    _, tr = run_solver("cg:tol=0.0,max_iters=20", obj, grad_tol=0.0,
+                       max_iters=105)
+    assert tr.final.iter == 20
+
+
 # the runners run_solver dispatches to, each of which takes a callback
 _RUNNERS = ("run_linear_cg", "run_steepest_descent", "run_nonlinear_cg",
             "run_ssf_iteration", "run_fista", "run_sesop", "run_tn_classic",
