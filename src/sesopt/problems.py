@@ -190,7 +190,7 @@ class _OnesRow(LinearOperator):
     """The 1 x n all-ones row: apply sums, adjoint broadcasts."""
 
     def _apply(self, x):
-        return np.sum(x, keepdims=True)
+        return np.add.reduce(x, keepdims=True)
 
     def _adjoint(self, y):
         return np.full(self.cols, y[0])
@@ -221,13 +221,13 @@ class ExpSquaresObjective(LinearLossObjective):
         return -e, e
 
     def _exp_term(self, x):
-        s = float(np.sum(x))
+        s = float(np.add.reduce(x))
         if s < -700.0:
             raise OverflowError("exponent overflow")
         return math.exp(-s)
 
     def _value(self, x):
-        return self._exp_term(x) + 0.5 * float(self.j2 @ (x * x))
+        return self._exp_term(x) + 0.5 * float(self.j2.dot(x * x))
 
     def _grad(self, x):
         e = self._exp_term(x)
@@ -235,11 +235,11 @@ class ExpSquaresObjective(LinearLossObjective):
 
     def _value_and_grad(self, x):
         e = self._exp_term(x)
-        return e + 0.5 * float(self.j2 @ (x * x)), self.j2 * x - e
+        return e + 0.5 * float(self.j2.dot(x * x)), self.j2 * x - e
 
     def _hvp(self, x, v):
         e = self._exp_term(x)
-        return self.j2 * v + e * float(np.sum(v))
+        return self.j2 * v + e * float(np.add.reduce(v))
 
     def _hessian_solve(self, x, rhs):
         # (D + e * ones ones^T)^{-1} rhs via the rank-one update formula.

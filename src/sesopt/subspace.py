@@ -52,7 +52,7 @@ def _normalized(vec, avec=None):
     """(vec / |vec|, avec / |vec|), or (None, None) when vec is zero or not
     finite; the second entry stays None without avec."""
     vec = np.asarray(vec, dtype=np.float64)
-    nrm = math.sqrt(vec @ vec)
+    nrm = math.sqrt(vec.dot(vec))
     if not (nrm > 0.0 and math.isfinite(nrm)):
         return None, None
     return vec / nrm, None if avec is None else np.asarray(avec, dtype=np.float64) / nrm
@@ -267,7 +267,7 @@ def _damped_newton(phi, phi_grad, hessian, alpha, inner_tol, max_inner,
     f_base = phi(np.zeros(m))
     f_cur = phi(alpha) if np.any(alpha) else f_base
     g = phi_grad(alpha)
-    g_norm = float(np.linalg.norm(g))
+    g_norm = math.sqrt(g.dot(g))
     tol = inner_tol * (1.0 + g_norm)
     it = 0
     while it < max_inner and g_norm > tol:
@@ -277,7 +277,7 @@ def _damped_newton(phi, phi_grad, hessian, alpha, inner_tol, max_inner,
             break
         alpha, f_cur = cand, f_new
         g = phi_grad(alpha)
-        g_norm = float(np.linalg.norm(g))
+        g_norm = math.sqrt(g.dot(g))
         it += 1
 
     if f_cur > f_base:  # smooth path: never leave the base sublevel set
@@ -318,8 +318,8 @@ def _minimize_linear_loss(obj, frame, alpha, inner_tol, max_inner, z0,
     q0 = 0.5 * float(x0 @ (q * x0))
 
     def phi(a):
-        return (float(np.sum(obj.loss(z0 + p @ a))) + q0 + float(c @ a)
-                + 0.5 * float(a @ (gram @ a)))
+        return (float(np.add.reduce(obj.loss(z0 + p @ a))) + q0 + float(c.dot(a))
+                + 0.5 * float(a.dot(gram @ a)))
 
     def phi_grad(a):
         d1, _ = obj.loss_derivatives(z0 + p @ a)
@@ -333,7 +333,7 @@ def _minimize_linear_loss(obj, frame, alpha, inner_tol, max_inner, z0,
         phi, phi_grad, hessian, alpha, inner_tol, max_inner, events)
     x_new = x0 + d @ alpha
     z_new = z0 + p @ alpha
-    f_new = float(np.sum(obj.loss(z_new))) + 0.5 * float(x_new @ (q * x_new))
+    f_new = float(np.add.reduce(obj.loss(z_new))) + 0.5 * float(x_new @ (q * x_new))
     return SubspaceResult(alpha=alpha, x=x_new, f=f_new, residual=z_new,
                           inner_iters=it, grad_norm=g_norm, events=events)
 
@@ -343,12 +343,12 @@ def _newton_step(hess, g):
     not finite or no descent direction."""
     try:
         delta = np.linalg.solve(hess, -g)
-        slope = float(g @ delta)  # finite exactly when delta is
+        slope = float(g.dot(delta))  # finite exactly when delta is
         if math.isfinite(slope) and slope < 0.0:
             return delta, slope
     except np.linalg.LinAlgError:
         pass
-    return -g, -float(g @ g)
+    return -g, -float(g.dot(g))
 
 
 def _first_column_fallback(search, g0):

@@ -5,9 +5,10 @@ q(d) = f + g.d + d.H d / 2 until a forcing tolerance or a step cap, with
 one Hessian-vector product per step. The subspace variant replaces the
 line search along the truncated direction with an exact minimization over
 a frame built from the inner run (truncated step, model gradient at the
-truncation point, last inner direction), recent outer steps and the
-previous gradient; the following inner run is warm-started from a
-two-direction exact solve seeded by that outer step.
+truncation point and, after two or more inner steps, the last inner
+direction), recent outer steps and the previous gradient; the following
+inner run is warm-started from a two-direction exact solve seeded by that
+outer step.
 
 Progress is reported on a cumulative-steps axis: every inner CG step
 counts one, and each outer subspace step counts one more, since on a
@@ -73,27 +74,25 @@ def _warm_first_step(model, warm_pair):
     this way, so callers count it as a single step. Returns
     (delta, h_delta) or None when the pair is unusable.
     """
-    u, v = warm_pair
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if (not np.any(u) or not np.any(v)
-            or not np.all(np.isfinite(u)) or not np.all(np.isfinite(v))):
+    u, v = (np.asarray(w, dtype=np.float64) for w in warm_pair)
+    if not (u.any() and v.any() and np.isfinite(u).all()
+            and np.isfinite(v).all()):
         return None
     hu = model.hvp(u)
     hv = model.hvp(v)
-    k11 = float(u @ hu)
-    k12 = float(u @ hv)
-    k22 = float(v @ hv)
+    k11 = float(u.dot(hu))
+    k12 = float(u.dot(hv))
+    k22 = float(v.dot(hv))
     det = k11 * k22 - k12 * k12
     scale = max(abs(k11), abs(k22))
     if k11 <= 0.0 or k22 <= 0.0 or det <= 1e-14 * scale * scale:
         return None
-    b1 = -float(model.g0 @ u)
-    b2 = -float(model.g0 @ v)
+    b1 = -float(model.g0.dot(u))
+    b2 = -float(model.g0.dot(v))
     a = (k22 * b1 - k12 * b2) / det
     b = (k11 * b2 - k12 * b1) / det
     delta = a * u + b * v
-    if not np.any(delta):
+    if not delta.any():
         return None
     return delta, a * hu + b * hv
 
@@ -111,77 +110,89 @@ def inner_cg(model, l_max, rtol, warm_pair=None):
     if l_max < 1:
         raise ValueError("inner step cap must be at least 1")
     g0 = model.g0
-    gnorm0 = float(np.linalg.norm(g0))
-    zero = np.zeros_like(g0)
+    # ndarray.dot runs the same BLAS dot as @ and np.linalg.norm, so every
+    # figure is bitwise theirs, with less call overhead per step
+    gnorm0 = math.sqrt(g0.dot(g0))
     if gnorm0 == 0.0:
-        return InnerCgState(d=zero, x_last=model.base.copy(), model_grad=g0.copy(),
-                            last_step=None, n_steps=0, neg_curvature=False)
+        return InnerCgState(d=np.zeros_like(g0), x_last=model.base.copy(),
+                            model_grad=g0.copy(), last_step=None, n_steps=0,
+                            neg_curvature=False)
     threshold = rtol * gnorm0
-
-    d = zero.copy()
-    r = g0.copy()
+    hvp = model.hvp
     q_deltas = []
-    last_step = None
-    l = 0
-    p = None
-    hp = None
-
-    if warm_pair is not None:
-        warm = _warm_first_step(model, warm_pair)
-        if warm is not None:
-            delta, h_delta = warm
-            dq = float(g0 @ delta) + 0.5 * float(delta @ h_delta)
-            d = delta
-            r = g0 + h_delta
-            q_deltas.append(dq)
-            last_step = delta
-            l = 1
-            if l >= l_max or float(np.linalg.norm(r)) <= threshold:
-                return InnerCgState(d=d, x_last=model.base + d, model_grad=r,
-                                    last_step=last_step, n_steps=l,
-                                    neg_curvature=False, q_deltas=q_deltas)
-            curv_last = float(delta @ h_delta)
-            beta = float(r @ h_delta) / curv_last
-            p = -r + beta * delta
-        else:
-            p = -r
-    else:
+    warm = None if warm_pair is None else _warm_first_step(model, warm_pair)
+    if warm is None:
+        d = np.zeros_like(g0)
+        r = g0.copy()
         p = -r
+        last_step = None
+        l = 0
+        rnorm = gnorm0
+    else:
+        d, h_delta = warm
+        curv = float(d.dot(h_delta))
+        q_deltas.append(float(g0.dot(d)) + 0.5 * curv)
+        last_step = d
+        r = g0 + h_delta
+        l = 1
+        rnorm = math.sqrt(r.dot(r))
+        if l < l_max and rnorm > threshold:
+            p = float(r.dot(h_delta)) / curv * d
+            p -= r
 
     neg = False
-    while l < l_max and float(np.linalg.norm(r)) > threshold:
-        hp = model.hvp(p)
-        curv = float(p @ hp)
+    while l < l_max and rnorm > threshold:
+        hp = hvp(p)
+        curv = float(p.dot(hp))
         if curv <= 0.0:
             neg = True
             if l == 0:
                 # p == -g here; take the bounded gradient step and stop
                 denom = abs(curv)
-                t = float(g0 @ g0) / denom if denom > 0 else 1.0
-                dq = t * float(r @ p) + 0.5 * t * t * curv
+                t = float(g0.dot(g0)) / denom if denom > 0 else 1.0
+                q_deltas.append(t * float(r.dot(p)) + 0.5 * t * t * curv)
                 d = t * p
-                r = r + t * hp
-                q_deltas.append(dq)
+                r += t * hp
                 last_step = d.copy()
                 l = 1
             break
-        rp = float(r @ p)
+        rp = float(r.dot(p))
         alpha = -rp / curv
-        dq = alpha * rp + 0.5 * alpha * alpha * curv
+        q_deltas.append(alpha * rp + 0.5 * alpha * alpha * curv)
         step = alpha * p
-        d = d + step
-        r = r + alpha * hp
-        q_deltas.append(dq)
+        d += step  # may be the warm step, which last_step held until here
+        r += alpha * hp
         last_step = step
         l += 1
-        if l >= l_max or float(np.linalg.norm(r)) <= threshold:
+        rnorm = math.sqrt(r.dot(r))
+        if l >= l_max or rnorm <= threshold:
             break
-        beta = float(r @ hp) / curv
-        p = -r + beta * p
+        p *= float(r.dot(hp)) / curv
+        p -= r
 
     return InnerCgState(d=d, x_last=model.base + d, model_grad=r,
                         last_step=last_step, n_steps=l, neg_curvature=neg,
                         q_deltas=q_deltas)
+
+
+def frame_columns(st, prev_grad):
+    """SESOP-TN's frame submissions after the inner run ``st``.
+
+    In priority order: the truncated step (when nonzero), the model
+    gradient at the truncation point, the last inner direction and the
+    previous outer gradient. The last inner direction is offered only
+    after two or more inner steps; after one it is the truncated step
+    itself, which the frame would drop again as a duplicate.
+    """
+    cols = []
+    if st.d.any():
+        cols.append((st.d, "tn_step", None))
+    cols.append((st.model_grad, "tn_model_grad", None))
+    if st.n_steps >= 2:
+        cols.append((st.last_step, "tn_last_dir", None))
+    if prev_grad is not None:
+        cols.append((prev_grad, "grad_prev", None))
+    return cols
 
 
 def _forcing(gnorm, gnorm0):
@@ -203,7 +214,7 @@ def run_tn_classic(obj, x0, l_max=10, grad_tol=1e-8, f_tol=0.0, max_iters=500,
                    max_matvecs=max_matvecs, callback=callback)
     x = np.array(x0, dtype=np.float64)
     f, g = obj.value_and_grad(x)
-    gnorm0 = float(np.linalg.norm(g))
+    gnorm0 = math.sqrt(g.dot(g))
     gnorm = gnorm0
     rec.stop_at = grad_tol * (1.0 + gnorm0)
 
@@ -223,7 +234,7 @@ def run_tn_classic(obj, x0, l_max=10, grad_tol=1e-8, f_tol=0.0, max_iters=500,
             except (LineSearchError, ValueError):
                 return x, rec.finish("line_search_failed")
         g = obj.grad(x)
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.sqrt(g.dot(g))
         k += 1
     return x, rec.finish()
 
@@ -237,6 +248,8 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, grad_tol=1e-8, f_tol=0.0,
     After each truncated inner run the next iterate is the exact minimizer
     over the frame {truncated step, model gradient at the truncation
     point, last inner direction, previous outer steps, previous gradient}.
+    The last inner direction is offered only after two or more inner
+    steps: after one it is the truncated step itself.
     The next inner run warm-starts from the two directions
     {new outer displacement from the truncation point, new gradient},
     solved exactly and counted as one step. The run ends "stalled" when a
@@ -274,7 +287,7 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, grad_tol=1e-8, f_tol=0.0,
     else:
         r = None if op is None else op.apply(x)
         f, g = obj.value_and_grad(x)
-    gnorm0 = float(np.linalg.norm(g))
+    gnorm0 = math.sqrt(g.dot(g))
     gnorm = gnorm0
     rec.stop_at = grad_tol * (1.0 + gnorm0)
 
@@ -293,15 +306,8 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, grad_tol=1e-8, f_tol=0.0,
                 rec.inner_row(k, cum + j, q_run)
         cum += st.n_steps
 
-        cols = []
-        if np.any(st.d):
-            cols.append((st.d, "tn_step", None))
-        cols.append((st.model_grad, "tn_model_grad", None))
-        if st.last_step is not None:
-            cols.append((st.last_step, "tn_last_dir", None))
-        if prev_grad is not None:
-            cols.append((prev_grad, "grad_prev", None))
-        frame = build_frame(x, cols, hist, outer_history, op=op,
+        frame = build_frame(x, frame_columns(st, prev_grad), hist,
+                            outer_history, op=op,
                             with_products=op is not None)
         res = subspace_minimize(obj, frame, inner_tol=inner_tol,
                                 max_inner=max_inner, residual=r)
@@ -320,6 +326,6 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, grad_tol=1e-8, f_tol=0.0,
         g_new = 2.0 * op.adjoint(r) if is_comp else obj.grad(res.x)
         warm = (res.x - st.x_last, g_new.copy())
         x, g = res.x, g_new
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.sqrt(g.dot(g))
         k += 1
     return x, rec.finish()

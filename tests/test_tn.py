@@ -7,6 +7,7 @@ from sesopt import (CallableObjective, DenseOperator, HistoryBuffer,
                     make_svm_smooth, run_linear_cg, run_sesop_tn,
                     run_tn_classic, seeded_rng)
 from sesopt.bench import run_solver
+from sesopt.tn import frame_columns
 
 from conftest import assert_monotone
 
@@ -102,6 +103,162 @@ def test_inner_cg_negative_curvature_truncates_later():
     st = inner_cg(QuadraticModel(obj, np.zeros(2), 0.0, g), l_max=5, rtol=0.0)
     assert st.neg_curvature
     assert st.n_steps == 1  # kept the first step, stopped before the bad one
+
+
+def _textbook_warm_first_step(model, warm_pair):
+    u, v = warm_pair
+    u = np.asarray(u, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
+    if (not np.any(u) or not np.any(v)
+            or not np.all(np.isfinite(u)) or not np.all(np.isfinite(v))):
+        return None
+    hu = model.hvp(u)
+    hv = model.hvp(v)
+    k11 = float(u @ hu)
+    k12 = float(u @ hv)
+    k22 = float(v @ hv)
+    det = k11 * k22 - k12 * k12
+    scale = max(abs(k11), abs(k22))
+    if k11 <= 0.0 or k22 <= 0.0 or det <= 1e-14 * scale * scale:
+        return None
+    b1 = -float(model.g0 @ u)
+    b2 = -float(model.g0 @ v)
+    a = (k22 * b1 - k12 * b2) / det
+    b = (k11 * b2 - k12 * b1) / det
+    delta = a * u + b * v
+    if not np.any(delta):
+        return None
+    return delta, a * hu + b * hv
+
+
+def _textbook_inner_cg(model, l_max, rtol, warm_pair=None):
+    """The inner CG loop written out plainly: fresh arrays for every update
+    and np.linalg.norm at both stopping tests. inner_cg must match it bit
+    for bit."""
+    g0 = model.g0
+    gnorm0 = float(np.linalg.norm(g0))
+    zero = np.zeros_like(g0)
+    if gnorm0 == 0.0:
+        return InnerCgState(d=zero, x_last=model.base.copy(), model_grad=g0.copy(),
+                            last_step=None, n_steps=0, neg_curvature=False)
+    threshold = rtol * gnorm0
+
+    d = zero.copy()
+    r = g0.copy()
+    q_deltas = []
+    last_step = None
+    l = 0
+    p = None
+    hp = None
+
+    if warm_pair is not None:
+        warm = _textbook_warm_first_step(model, warm_pair)
+        if warm is not None:
+            delta, h_delta = warm
+            dq = float(g0 @ delta) + 0.5 * float(delta @ h_delta)
+            d = delta
+            r = g0 + h_delta
+            q_deltas.append(dq)
+            last_step = delta
+            l = 1
+            if l >= l_max or float(np.linalg.norm(r)) <= threshold:
+                return InnerCgState(d=d, x_last=model.base + d, model_grad=r,
+                                    last_step=last_step, n_steps=l,
+                                    neg_curvature=False, q_deltas=q_deltas)
+            curv_last = float(delta @ h_delta)
+            beta = float(r @ h_delta) / curv_last
+            p = -r + beta * delta
+        else:
+            p = -r
+    else:
+        p = -r
+
+    neg = False
+    while l < l_max and float(np.linalg.norm(r)) > threshold:
+        hp = model.hvp(p)
+        curv = float(p @ hp)
+        if curv <= 0.0:
+            neg = True
+            if l == 0:
+                denom = abs(curv)
+                t = float(g0 @ g0) / denom if denom > 0 else 1.0
+                dq = t * float(r @ p) + 0.5 * t * t * curv
+                d = t * p
+                r = r + t * hp
+                q_deltas.append(dq)
+                last_step = d.copy()
+                l = 1
+            break
+        rp = float(r @ p)
+        alpha = -rp / curv
+        dq = alpha * rp + 0.5 * alpha * alpha * curv
+        step = alpha * p
+        d = d + step
+        r = r + alpha * hp
+        q_deltas.append(dq)
+        last_step = step
+        l += 1
+        if l >= l_max or float(np.linalg.norm(r)) <= threshold:
+            break
+        beta = float(r @ hp) / curv
+        p = -r + beta * p
+
+    return InnerCgState(d=d, x_last=model.base + d, model_grad=r,
+                        last_step=last_step, n_steps=l, neg_curvature=neg,
+                        q_deltas=q_deltas)
+
+
+def _model_at(obj, seed):
+    x = 0.1 * seeded_rng(seed).standard_normal(obj.dim)
+    f, g = obj.value_and_grad(x)
+    return QuadraticModel(obj, x, f, g)
+
+
+def _negative_curvature_models():
+    n = 7
+    flip = CallableObjective(n, value=lambda z: 0.0, hvp=lambda z, v: -v)
+    h = np.diag([4.0, -1.0])
+    later = CallableObjective(2, value=lambda z: 0.0, hvp=lambda z, v: h @ v)
+    return [QuadraticModel(flip, np.zeros(n), 0.0,
+                           seeded_rng(58).standard_normal(n)),
+            QuadraticModel(later, np.zeros(2), 0.0, np.array([1.0, 0.05]))]
+
+
+def _bitwise_cases():
+    models = [_model_at(make_quadratic_ls(60, seed=4), 61),
+              _model_at(make_expsquares(80), 62),
+              _model_at(make_svm_smooth(60, 30, seed=8, violation_frac=0.1), 63)]
+    for model in models:
+        n = model.g0.size
+        rng = seeded_rng(64)
+        # the last two pairs are unusable: one column is zero, or both are
+        # parallel
+        pairs = [None, (rng.standard_normal(n), model.g0.copy()),
+                 (np.zeros(n), model.g0.copy()),
+                 (model.g0.copy(), 2.0 * model.g0)]
+        for l_max in (1, 5, n):
+            for rtol in (0.5, 1e-3, 1e-12):
+                for pair in pairs:
+                    yield model, l_max, rtol, pair
+    for model in _negative_curvature_models():
+        yield model, 9, 0.0, None
+
+
+def test_inner_cg_is_bitwise_the_textbook_loop():
+    fields = ("d", "x_last", "model_grad", "last_step", "q_deltas", "n_steps",
+              "neg_curvature")
+    n_cases = 0
+    for model, l_max, rtol, pair in _bitwise_cases():
+        model.obj.counters.reset()
+        ref = _textbook_inner_cg(model, l_max, rtol, warm_pair=pair)
+        ref_hvps = model.obj.counters.hvps
+        model.obj.counters.reset()
+        st = inner_cg(model, l_max, rtol, warm_pair=pair)
+        assert model.obj.counters.hvps == ref_hvps
+        for name in fields:
+            assert np.array_equal(getattr(st, name), getattr(ref, name)), name
+        n_cases += 1
+    assert n_cases == 3 * 3 * 3 * 4 + 2
 
 
 # -- classic truncated Newton ---------------------------------------------------
@@ -238,14 +395,32 @@ def test_degenerate_inner_state_still_builds_a_frame():
     g = seeded_rng(59).standard_normal(12)
     st = InnerCgState(d=np.zeros(12), x_last=np.zeros(12), model_grad=g,
                       last_step=None, n_steps=0, neg_curvature=False)
-    cols = []
-    if np.any(st.d):
-        cols.append((st.d, "tn_step", None))
-    cols.append((st.model_grad, "tn_model_grad", None))
-    if st.last_step is not None:
-        cols.append((st.last_step, "tn_last_dir", None))
-    frame = build_frame(np.zeros(12), cols, HistoryBuffer(2), 2)
+    frame = build_frame(np.zeros(12), frame_columns(st, None),
+                        HistoryBuffer(2), 2)
     assert frame.size == 1 and frame.tags == ["tn_model_grad"]
+
+
+def test_sesop_tn_frames_drop_no_column(monkeypatch):
+    # after a one-step inner run the last inner direction is the truncated
+    # step itself; offering it would only be dropped again as a duplicate
+    import sesopt.tn as tn
+
+    build = tn.build_frame
+    frames = []
+
+    def recording_build_frame(*args, **kwargs):
+        frames.append(build(*args, **kwargs))
+        return frames[-1]
+
+    monkeypatch.setattr(tn, "build_frame", recording_build_frame)
+    for obj in (make_expsquares(200),
+                make_svm_smooth(150, 60, seed=8, violation_frac=0.1)):
+        for l_max in (1, 10):
+            frames.clear()
+            run_sesop_tn(obj, np.zeros(obj.dim), l_max=l_max, grad_tol=1e-10,
+                         max_iters=300)
+            assert len(frames) > 5
+            assert [f.dropped for f in frames if f.dropped] == []
 
 
 # -- the linear-loss subspace path ----------------------------------------------
