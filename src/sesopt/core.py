@@ -224,9 +224,16 @@ class LinearLossObjective(Objective):
         """Elementwise (phi', phi'') at z = A x."""
         raise NotImplementedError
 
+    def seed_linear_map(self, x, z):
+        """Take z, a solver's carried A x, for the point x; ignored here."""
+
 
 class LinearOperator:
-    """Counted linear map. Every apply/adjoint bumps the matvec counter."""
+    """Counted linear map. Every apply/adjoint bumps the matvec counter.
+
+    ``apply`` also takes an (n, k) block of columns and returns the (rows,
+    k) block of their images, counted as k matvecs.
+    """
 
     def __init__(self, rows, cols, counters=None):
         self.rows = int(rows)
@@ -234,8 +241,12 @@ class LinearOperator:
         self.counters = counters if counters is not None else Counters()
 
     def apply(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 2:
+            self.counters.matvecs += x.shape[1]
+            return self._apply_block(x)
         self.counters.matvecs += 1
-        return self._apply(np.asarray(x, dtype=np.float64))
+        return self._apply(x)
 
     def adjoint(self, y):
         self.counters.matvecs += 1
@@ -248,8 +259,17 @@ class LinearOperator:
     def _apply(self, x):
         raise NotImplementedError
 
+    def _apply_block(self, u):
+        # one column at a time, so each image is bitwise that of apply
+        return np.array([self._apply(col) for col in u.T]).T
+
     def _adjoint(self, y):
         raise NotImplementedError
+
+
+# bytes of matrix rows per product in a block apply: a block of rows stays
+# in cache while it meets every column, so the matrix is read once
+_BLOCK_BYTES = 512 * 1024
 
 
 class DenseOperator(LinearOperator):
@@ -268,6 +288,16 @@ class DenseOperator(LinearOperator):
 
     def _apply(self, x):
         return self.matrix @ x
+
+    def _apply_block(self, u):
+        if u.shape[1] == 1:  # the matrix-vector product of apply
+            return (self.matrix @ u[:, 0])[:, None]
+        m = self.matrix
+        out = np.empty((self.rows, u.shape[1]))
+        step = max(1, _BLOCK_BYTES // max(1, m.strides[0]))
+        for s in range(0, self.rows, step):
+            np.dot(m[s:s + step], u, out=out[s:s + step])
+        return out
 
     def _adjoint(self, y):
         return self.matrix.T @ y

@@ -299,8 +299,12 @@ class SvmSquaredHinge(LinearLossObjective):
     contents, together with its active rows once an hvp has copied them.
     A truncated Newton step values, differentiates and takes all its
     Hessian products at one point, so they share one pass over X and one
-    copy of the active rows. Results are bitwise those of recomputing.
-    The cache makes an instance unsafe to share between threads.
+    copy of the active rows. Margins computed here are bitwise those of
+    recomputing. A solver that carries z = X w may seed the cache with
+    y * z through :meth:`seed_linear_map`; at that point results follow
+    the carried z, which can differ from X w in the last bits, until
+    another point is asked for. The cache makes an instance unsafe to
+    share between threads.
     """
 
     def __init__(self, x_rows, y, c_penalty):
@@ -332,10 +336,17 @@ class SvmSquaredHinge(LinearLossObjective):
         if self._at is None or not np.array_equal(w, self._at):
             # drop the old entry first: one copy of the active rows at most
             self._at = self._margins = self._active_rows = None
-            margins = self.y * (self.x_rows @ w)
-            margins.flags.writeable = False
-            self._at, self._margins = np.array(w, dtype=np.float64), margins
+            self._keep(w, self.y * (self.x_rows @ w))
         return self._margins
+
+    def seed_linear_map(self, w, z):
+        """Cache y * z as the margins of w, for z = X w carried by a solver."""
+        self._at = self._margins = self._active_rows = None
+        self._keep(w, self.y * np.asarray(z, dtype=np.float64))
+
+    def _keep(self, w, margins):
+        margins.flags.writeable = False
+        self._at, self._margins = np.array(w, dtype=np.float64), margins
 
     def hinge_sq_sum(self, w):
         viol = np.maximum(0.0, 1.0 - self.margins(w))

@@ -132,7 +132,7 @@ def _independent(unit, drop_tol):
 
 
 def build_frame(base, columns, history=None, max_history=None, *, op=None,
-                with_products=False, reuse_products=True, drop_tol=1e-10):
+                with_products=False, drop_tol=1e-10):
     """Assemble and condition a subspace frame.
 
     ``columns`` is an iterable of (vector, tag, a_vector-or-None)
@@ -143,9 +143,10 @@ def build_frame(base, columns, history=None, max_history=None, *, op=None,
     so duplicated directions collapse to one column.
 
     With ``with_products`` the returned frame carries A @ basis, reusing
-    cached products where provided (``reuse_products=False`` forces fresh
-    operator applications; only the matvec counter changes). Basis and
-    products are transposes of one-row-per-column arrays.
+    cached products where provided. The kept columns without one get
+    theirs from a single block apply of A, so A is read once per frame and
+    counted one matvec per fresh column. Basis and products are transposes
+    of one-row-per-column arrays.
 
     Raises EmptySubspaceError when nothing survives.
     """
@@ -168,9 +169,12 @@ def build_frame(base, columns, history=None, max_history=None, *, op=None,
 
     products = None
     if with_products:
-        products = np.array([
-            au if au is not None and reuse_products else op.apply(u)
-            for u, au, _ in (subs[i] for i in kept)]).T
+        rows = [subs[i][1] for i in kept]
+        fresh = [j for j, au in enumerate(rows) if au is None]
+        if fresh:
+            for j, au in zip(fresh, op.apply(unit[fresh].T).T):
+                rows[j] = au
+        products = np.array(rows).T
     keep = set(kept)
     return SubspaceFrame(
         base=base, basis=unit.T, tags=[subs[i][2] for i in kept],
@@ -185,7 +189,6 @@ class SubspaceResult:
     f: float
     residual: np.ndarray | None
     inner_iters: int
-    grad_norm: float
     events: list
 
 
@@ -248,16 +251,16 @@ def subspace_minimize(obj, frame, alpha0=None, inner_tol=1e-10, max_inner=20,
         xa = x0 + d @ a
         return d.T @ np.column_stack([obj.hvp(xa, d[:, j]) for j in range(m)])
 
-    alpha, f_cur, it, g_norm = _damped_newton(
+    alpha, f_cur, it = _damped_newton(
         phi, phi_grad, hessian, alpha, inner_tol, max_inner, events)
     x_new = x0 + d @ alpha
     return SubspaceResult(alpha=alpha, x=x_new, f=f_cur, residual=None,
-                          inner_iters=it, grad_norm=g_norm, events=events)
+                          inner_iters=it, events=events)
 
 
 def _damped_newton(phi, phi_grad, hessian, alpha, inner_tol, max_inner,
                    events):
-    """Damped Newton on a smooth reduced objective; (alpha, f, iters, |g|).
+    """Damped Newton on a smooth reduced objective; (alpha, f, iters).
 
     Never leaves the sublevel set of alpha = 0: a result above it is reset
     to zero ("no_progress"), and a zero result is followed by the
@@ -292,7 +295,7 @@ def _damped_newton(phi, phi_grad, hessian, alpha, inner_tol, max_inner,
         if cand is not None:
             alpha, f_cur = cand, f_new
         events.append(event)
-    return alpha, f_cur, it, g_norm
+    return alpha, f_cur, it
 
 
 def _minimize_linear_loss(obj, frame, alpha, inner_tol, max_inner, z0,
@@ -329,13 +332,13 @@ def _minimize_linear_loss(obj, frame, alpha, inner_tol, max_inner, z0,
         _, d2 = obj.loss_derivatives(z0 + p @ a)
         return p.T @ (d2[:, None] * p) + gram
 
-    alpha, _, it, g_norm = _damped_newton(
+    alpha, _, it = _damped_newton(
         phi, phi_grad, hessian, alpha, inner_tol, max_inner, events)
     x_new = x0 + d @ alpha
     z_new = z0 + p @ alpha
     f_new = float(np.add.reduce(obj.loss(z_new))) + 0.5 * float(x_new @ (q * x_new))
     return SubspaceResult(alpha=alpha, x=x_new, f=f_new, residual=z_new,
-                          inner_iters=it, grad_norm=g_norm, events=events)
+                          inner_iters=it, events=events)
 
 
 def _newton_step(hess, g):
@@ -502,9 +505,11 @@ def _minimize_composite(comp, frame, alpha, inner_tol, max_inner, residual,
         delta, slope = _newton_step(hess, g)
         if search(delta, slope)[0] is None:
             break
+        it += 1
+        if it == max_inner:  # nothing reads the system after the last step
+            break
         hess, g = newton_system()
         g_norm = math.sqrt(dot(g, g))
-        it += 1
 
     if not moved and not steps and g_norm > tol:
         events.append(_first_column_fallback(search, g)[2])
@@ -534,7 +539,7 @@ def _minimize_composite(comp, frame, alpha, inner_tol, max_inner, residual,
         events.append("smoothing_shrink")
 
     return SubspaceResult(alpha=alpha, x=xa, f=f_exact, residual=ra,
-                          inner_iters=it, grad_norm=g_norm, events=events)
+                          inner_iters=it, events=events)
 
 
 def line_search_backtracking(obj, x, d, f_x=None, g_x=None, c1=1e-4, rho=0.5,

@@ -257,8 +257,11 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, grad_tol=1e-8, f_tol=0.0,
 
     Least-squares and linear-loss objectives carry A x (less b) across
     iterations and keep the products of the history steps, so each outer
-    step applies A once per fresh frame column, counted as matvecs, and
-    the frame solve makes no hvps.
+    step forms the products of its fresh frame columns in one blocked
+    pass over A, counted one matvec per column, and the frame solve makes
+    no hvps. A linear-loss objective is handed the carried A x of each new
+    iterate (``seed_linear_map``), so one that caches A x takes the next
+    gradient without another pass of A.
 
     ``trace_inner`` additionally emits one row per inner step carrying the
     running model value (exact objective values on quadratics), so traces
@@ -323,7 +326,12 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, grad_tol=1e-8, f_tol=0.0,
             hist.push_step(frame.basis @ res.alpha, frame.products @ res.alpha)
         prev_grad = g
         r, f = res.residual, res.f
-        g_new = 2.0 * op.adjoint(r) if is_comp else obj.grad(res.x)
+        if is_comp:
+            g_new = 2.0 * op.adjoint(r)
+        else:
+            if op is not None:
+                obj.seed_linear_map(res.x, r)
+            g_new = obj.grad(res.x)
         warm = (res.x - st.x_last, g_new.copy())
         x, g = res.x, g_new
         gnorm = math.sqrt(g.dot(g))

@@ -7,6 +7,8 @@ from sesopt import (CallableObjective, CompositeObjective, Counters,
                     DenseOperator, NewtonUnavailableError, check_gradient,
                     power_iteration_sq_norm, seeded_rng, soft_threshold)
 
+from sesopt.problems import _OnesRow
+
 from conftest import small_l1, small_quadratic
 
 
@@ -102,6 +104,40 @@ def test_dense_operator_counts_and_columns(rng):
                                rtol=1e-14)
     with pytest.raises(ValueError):
         DenseOperator(np.ones(3))
+
+
+def test_dense_block_apply_matches_columns_and_counts_each(rng):
+    # 4800-byte rows: several row blocks, the last one short
+    a = rng.standard_normal((300, 600))
+    op = DenseOperator(a)
+    for k in (2, 3, 5):
+        for u in (rng.standard_normal((k, 600)).T,  # columns contiguous
+                  rng.standard_normal((600, k))):   # rows contiguous
+            before = op.counters.matvecs
+            block = op.apply(u)
+            assert op.counters.matvecs == before + k
+            assert block.shape == (300, k)
+            for j in range(k):
+                col = op.apply(u[:, j])
+                assert (np.linalg.norm(block[:, j] - col)
+                        <= 1e-13 * np.linalg.norm(col))
+
+
+def test_one_column_block_and_ones_row_are_bitwise_per_column(rng):
+    op = DenseOperator(rng.standard_normal((30, 50)))
+    u = rng.standard_normal((50, 1))
+    block = op.apply(u)
+    assert block.shape == (30, 1) and op.counters.matvecs == 1
+    np.testing.assert_array_equal(block[:, 0], op.apply(u[:, 0]))
+
+    ones = _OnesRow(1, 50)
+    for u in (rng.standard_normal((3, 50)).T, rng.standard_normal((50, 3))):
+        before = ones.counters.matvecs
+        block = ones.apply(u)
+        assert block.shape == (1, 3) and ones.counters.matvecs == before + 3
+        for j in range(3):
+            np.testing.assert_array_equal(
+                block[:, j], ones.apply(np.ascontiguousarray(u[:, j])))
 
 
 def test_power_iteration_matches_svd(rng):

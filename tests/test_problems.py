@@ -113,9 +113,10 @@ def test_svm_violations_and_gradient():
     assert float(v @ p.hvp(w, v)) >= float(v @ v) - 1e-12  # I + PSD part
 
 
-def _svm_reference(x_rows, y, c, w, v):
-    """Value, gradient and hvp from the SVM's data alone, nothing cached."""
-    margins = y * (x_rows @ w)
+def _svm_reference(x_rows, y, c, w, v, z=None):
+    """Value, gradient and hvp from the SVM's data alone, nothing cached;
+    with z, from the margins y * z in place of y * (X w)."""
+    margins = y * (x_rows @ w if z is None else z)
     viol = np.maximum(0.0, 1.0 - margins)
     val = 0.5 * float(w @ w) + c * float(viol @ viol)
     g = w - 2.0 * c * ((viol * y) @ x_rows)
@@ -164,6 +165,39 @@ def test_svm_cached_products_are_bitwise_the_uncached_ones():
     check(buf, ["grad", "hvp", "value"])
     with pytest.raises(ValueError):
         p.margins(buf)[0] = 0.0  # the cached margins are read-only
+
+
+def test_svm_seeded_margins_serve_only_their_point():
+    p = make_svm_smooth(120, 40, seed=4, violation_frac=0.1)
+    x_rows, y, c = p.x_rows.copy(), p.y.copy(), p.c_penalty
+    rng = seeded_rng(14)
+    w1, w2 = 0.3 * rng.standard_normal(40), 0.3 * rng.standard_normal(40)
+    v = rng.standard_normal(40)
+    # a z off X w by far more than rounding, so a served seed shows
+    z = x_rows @ w1 + 1e-3 * rng.standard_normal(120)
+
+    def agrees(w, z=None):
+        val, g, hv = _svm_reference(x_rows, y, c, np.array(w), v, z)
+        f_w, g_w = p.value_and_grad(w)
+        np.testing.assert_array_equal(p.hvp(w, v), hv)
+        return f_w == val and np.array_equal(g_w, g) and np.array_equal(p.grad(w), g)
+
+    handed = z.copy()
+    p.seed_linear_map(w1, handed)
+    handed[:] = 0.0  # the cache holds margins of its own
+    assert agrees(w1.copy(), z)  # served by contents
+    assert agrees(w2)            # another point: from X
+    assert agrees(w1)            # and the seed is gone for good
+
+    buf = w1.copy()
+    p.seed_linear_map(buf, z)
+    buf[[3, 17]] += 0.4  # the seeded point changed in place
+    assert agrees(buf)
+    buf[:] = w1  # its old contents again, after another point was asked
+    assert agrees(buf)
+    p.seed_linear_map(w1, z)
+    with pytest.raises(ValueError):
+        p.margins(w1)[0] = 0.0  # seeded margins are read-only too
 
 
 # -- ProblemSpec --------------------------------------------------------------

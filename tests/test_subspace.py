@@ -73,14 +73,39 @@ def test_products_cached_vs_fresh(rng):
     np.testing.assert_allclose(frame.products[:, 0], av / np.linalg.norm(v),
                                rtol=1e-14)
 
-    frame = build_frame(np.zeros(6), [(v, "d", av)], op=op, with_products=True,
-                        reuse_products=False)
-    assert op.counters.matvecs == 1  # forced fresh application
+    frame = build_frame(np.zeros(6), [(v, "d", None)], op=op, with_products=True)
+    assert op.counters.matvecs == 1  # fresh application
     frame = build_frame(np.zeros(6), [(v, "d", None)], op=op, with_products=True)
     assert op.counters.matvecs == 2  # no cache to reuse
 
     with pytest.raises(ValueError):
         build_frame(np.zeros(6), [(v, "d", None)], with_products=True)
+
+
+def test_mixed_cached_and_fresh_products_keep_value_order_and_layout(rng):
+    a = rng.standard_normal((40, 30))
+    op = DenseOperator(a)
+    vs = [rng.standard_normal(30) for _ in range(5)]
+    cols = [(v, f"c{i}", a @ v if i in (1, 3) else None)
+            for i, v in enumerate(vs)]
+    cols.insert(2, (2.0 * vs[0], "dup", None))  # dropped before the products
+    hist = HistoryBuffer(max_len=2)
+    step = rng.standard_normal(30)
+    hist.push_step(step, a @ step)
+    frame = build_frame(np.zeros(30), cols, hist, op=op, with_products=True)
+    assert frame.tags == ["c0", "c1", "c2", "c3", "c4", "step-1"]
+    assert frame.dropped == ["dup"]
+    assert op.counters.matvecs == 3  # one per fresh column, in one apply
+    # one row per column, transposed: the layout that fixes the summation
+    # order of the solvers' products @ alpha, and so their traces
+    assert frame.products.shape == (40, 6) and frame.products.T.flags.c_contiguous
+    for j, (v, _, av) in enumerate(cols[:2] + cols[3:] + [(step, "", a @ step)]):
+        got = frame.products[:, j]
+        if av is not None:  # the cached product, scaled as it was pushed
+            np.testing.assert_array_equal(got, av / np.linalg.norm(v))
+        else:
+            want = a @ (v / np.linalg.norm(v))
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 # -- reduced minimization -----------------------------------------------------
@@ -132,15 +157,14 @@ def test_composite_inner_loop_applies_no_operators():
 
 def test_composite_exact_value_never_increases():
     # large mu stresses the smoothing correction
-    obj, a = small_l1(mu=0.5)
+    obj, _ = small_l1(mu=0.5)
     for seed in range(6):
         x0 = seeded_rng(50 + seed).standard_normal(obj.dim)
         r0 = obj.residual(x0)
         atr = obj.op.adjoint(r0)
-        cols = [(-atr, "grad", a @ (-atr)),
+        cols = [(-atr, "grad", None),
                 (seeded_rng(60 + seed).standard_normal(obj.dim), "noise", None)]
-        frame = build_frame(x0, cols, op=obj.op, with_products=True,
-                            reuse_products=False)
+        frame = build_frame(x0, cols, op=obj.op, with_products=True)
         res = subspace_minimize(obj, frame, residual=r0)
         assert res.f <= obj.value_from_residual(r0, x0) + 1e-12
 

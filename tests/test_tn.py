@@ -489,12 +489,24 @@ def _uncached_svm(svm):
     """The SVM rebuilt from its data with formulas that cache nothing.
 
     It keeps the linear-loss structure, so sesop_tn solves its frames on
-    the same cached-products path as the SVM itself.
+    the same cached-products path as the SVM itself, and takes the carried
+    X w that sesop_tn hands over: the margins at that point are y * z
+    until another point is asked for, and y * (X w) everywhere else.
     """
     x_rows, y, c = svm.x_rows.copy(), svm.y.copy(), svm.c_penalty
+    carried = []  # the (point, X w) handed over last
+
+    def seed_linear_map(w, z):
+        carried[:] = [(np.array(w), np.array(z))]
+
+    def margins(w):
+        if carried and np.array_equal(w, carried[0][0]):
+            return y * carried[0][1]
+        carried.clear()
+        return y * (x_rows @ w)
 
     def viol(w):
-        return np.maximum(0.0, 1.0 - y * (x_rows @ w))
+        return np.maximum(0.0, 1.0 - margins(w))
 
     def value(w):
         s = viol(w)
@@ -504,7 +516,7 @@ def _uncached_svm(svm):
         return w - 2.0 * c * ((viol(w) * y) @ x_rows)
 
     def hvp(w, v):
-        xa = x_rows[(1.0 - y * (x_rows @ w)) > 0.0]
+        xa = x_rows[(1.0 - margins(w)) > 0.0]
         return v + 2.0 * c * (xa.T @ (xa @ v))
 
     def loss(z):
@@ -519,6 +531,7 @@ def _uncached_svm(svm):
     twin.linear_map = DenseOperator(x_rows, twin.counters)
     twin.quad_diag = np.ones(svm.dim)
     twin.loss, twin.loss_derivatives = loss, loss_derivatives
+    twin.seed_linear_map = seed_linear_map
     return twin
 
 
@@ -536,6 +549,24 @@ def test_svm_traces_are_those_of_uncached_formulas():
         assert len(tr) == len(tr_u) > 10
         for col in ("f_value", "stat_norm", "hvps", "matvecs", "cum_steps"):
             np.testing.assert_array_equal(tr.column(col), tr_u.column(col))
+
+
+def test_sesop_tn_carried_map_stays_at_x_w():
+    # the carried z = X w is summed from frame products step after step;
+    # it must not drift from a fresh product over a long run (a large C
+    # keeps this instance from converging within the 400 iterations)
+    svm = make_svm_smooth(400, 200, seed=2, c_penalty=100.0,
+                          violation_frac=0.05)
+    handed = []
+    seed = svm.seed_linear_map
+    svm.seed_linear_map = lambda w, z: (handed.append((w.copy(), z.copy())),
+                                        seed(w, z))
+    _, tr = run_sesop_tn(svm, np.zeros(svm.dim), l_max=3, grad_tol=0.0,
+                         max_iters=400)
+    assert tr.final.iter == len(handed) == 400
+    worst = max(np.linalg.norm(z - svm.x_rows @ w) / np.linalg.norm(svm.x_rows @ w)
+                for w, z in handed)
+    assert worst <= 1e-12
 
 
 @pytest.mark.parametrize("spec", ["tn:l_max=5", "sd", "nlcg", "cg"])
