@@ -12,14 +12,13 @@ from .baselines import (run_fista, run_linear_cg, run_nonlinear_cg,
                         run_ssf_iteration, run_steepest_descent)
 from .core import (CallableObjective, CompositeObjective, Counters,
                    DenseOperator, LinearLossObjective, LinearOperator,
-                   NewtonUnavailableError,
                    Objective, check_gradient, power_iteration_sq_norm,
                    seeded_rng, soft_threshold)
-from .directions import DirectionKind, OrthState, dir_newton, dir_orth_update
+from .directions import DirectionKind, OrthState, dir_orth_update
 from .problems import (ExpSquaresObjective, GroundTruth, ProblemSpec,
                        SvmSquaredHinge, expsquares_ground_truth, make_expsquares,
                        make_l1_ls, make_quadratic_ls, make_svm_smooth)
-from .sesop import SesopConfig, run_sesop, run_sesop_newton
+from .sesop import SesopConfig, run_sesop
 from .subspace import (EmptySubspaceError, HistoryBuffer, LineSearchError,
                        SubspaceFrame, SubspaceResult, build_frame,
                        line_search_backtracking, subspace_minimize)
@@ -37,7 +36,7 @@ __all__ = [
     "Counters", "seeded_rng", "soft_threshold", "Objective",
     "CallableObjective", "CompositeObjective", "LinearLossObjective",
     "LinearOperator",
-    "DenseOperator", "NewtonUnavailableError", "check_gradient",
+    "DenseOperator", "check_gradient",
     "power_iteration_sq_norm",
     # problems
     "ProblemSpec", "GroundTruth", "make_quadratic_ls", "make_l1_ls",
@@ -45,11 +44,11 @@ __all__ = [
     "SvmSquaredHinge", "expsquares_ground_truth",
     # directions and frames
     "DirectionKind", "OrthState", "dir_orth_update",
-    "dir_newton", "HistoryBuffer", "SubspaceFrame",
+    "HistoryBuffer", "SubspaceFrame",
     "SubspaceResult", "build_frame", "subspace_minimize",
     "line_search_backtracking", "EmptySubspaceError", "LineSearchError",
     # solvers
-    "SesopConfig", "run_sesop", "run_sesop_newton", "QuadraticModel",
+    "SesopConfig", "run_sesop", "QuadraticModel",
     "InnerCgState", "inner_cg", "run_tn_classic", "run_sesop_tn",
     "run_linear_cg", "run_ssf_iteration", "run_fista",
     "run_steepest_descent", "run_nonlinear_cg",

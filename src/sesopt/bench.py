@@ -54,7 +54,6 @@ SOLVER_OPTIONS = {
     "ista": ("c",),
     "fista": ("c", "restart"),
     "sesop": ("direction", "orth", "history"),
-    "sesop_newton": ("orth", "history"),
     "tn": ("l_max",),
     "sesop_tn": ("l_max", "outer_history", "trace_inner"),
 }
@@ -136,9 +135,9 @@ def run_solver(spec, obj, x0=None, max_iters=1000, grad_tol=1e-8,
             obj, x0, c=_as_float(opts, "c", None) if "c" in opts else None,
             grad_tol=grad_tol, max_iters=max_iters, max_matvecs=max_matvecs,
             restart=bool(_as_int(opts, "restart", 0)), aux_metric=aux_metric)
-    elif name in ("sesop", "sesop_newton"):
+    elif name == "sesop":
         cfg = SesopConfig(
-            direction="newton" if name == "sesop_newton" else opts.get("direction", "gradient"),
+            direction=opts.get("direction", "gradient"),
             include_orth=bool(_as_int(opts, "orth", 0)),
             history=_as_int(opts, "history", 7),
             grad_tol=grad_tol, max_iters=max_iters, max_matvecs=max_matvecs)

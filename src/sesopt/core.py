@@ -1,9 +1,9 @@
 """Shared abstractions: objectives, linear operators, counters, RNG.
 
 Everything a solver touches goes through this module. Objectives expose
-value/grad/hvp/hessian_solve behind evaluation counters; linear operators
-count every apply/adjoint on a shared matvec counter, which is the primary
-cost axis of the benchmarks. ``LinearLossObjective`` marks objectives of
+value/grad/hvp behind evaluation counters; linear operators count every
+apply/adjoint on a shared matvec counter, which is the primary cost axis
+of the benchmarks. ``LinearLossObjective`` marks objectives of
 the form sum_i phi((A x)_i) + 1/2 sum_j q_j x_j^2, whose subspace solve
 runs on cached products. ``CompositeObjective`` is the least-squares
 plus L1 objective
@@ -32,16 +32,11 @@ __all__ = [
     "DenseOperator",
     "CompositeObjective",
     "SmoothedComposite",
-    "NewtonUnavailableError",
     "check_gradient",
     "seeded_rng",
     "soft_threshold",
     "power_iteration_sq_norm",
 ]
-
-
-class NewtonUnavailableError(RuntimeError):
-    """A Hessian solve could not produce a usable Newton direction."""
 
 
 @dataclass
@@ -95,8 +90,8 @@ def soft_threshold(v, tau):
 class Objective:
     """Base class for differentiable (or composite) objectives.
 
-    Subclasses implement ``_value`` and optionally ``_grad``, ``_hvp`` and
-    ``_hessian_solve``; the public methods do the counter bookkeeping.
+    Subclasses implement ``_value`` and optionally ``_grad`` and ``_hvp``;
+    the public methods do the counter bookkeeping.
     ``capabilities`` reports what is actually available so solvers can
     check preconditions instead of catching AttributeError.
     """
@@ -114,8 +109,6 @@ class Objective:
             caps.add("gradient")
         if type(self)._hvp is not Objective._hvp:
             caps.add("hvp")
-        if type(self)._hessian_solve is not Objective._hessian_solve:
-            caps.add("hessian_solve")
         return frozenset(caps)
 
     # -- counted public interface ----------------------------------------
@@ -137,11 +130,6 @@ class Objective:
         self.counters.hvps += 1
         return self._hvp(np.asarray(x, dtype=np.float64), np.asarray(v, dtype=np.float64))
 
-    def hessian_solve(self, x, rhs):
-        return self._hessian_solve(
-            np.asarray(x, dtype=np.float64), np.asarray(rhs, dtype=np.float64)
-        )
-
     # -- implementation hooks ---------------------------------------------
     def _value(self, x):
         raise NotImplementedError
@@ -155,19 +143,15 @@ class Objective:
     def _hvp(self, x, v):
         raise NotImplementedError
 
-    def _hessian_solve(self, x, rhs):
-        raise NewtonUnavailableError("newton direction unavailable")
-
 
 class CallableObjective(Objective):
     """Adapter wrapping plain callables; handy for tests and small studies."""
 
-    def __init__(self, dim, value, grad=None, hvp=None, hessian_solve=None, counters=None):
+    def __init__(self, dim, value, grad=None, hvp=None, counters=None):
         super().__init__(dim, counters)
         self._fn_value = value
         self._fn_grad = grad
         self._fn_hvp = hvp
-        self._fn_hsolve = hessian_solve
 
     @property
     def capabilities(self):
@@ -176,8 +160,6 @@ class CallableObjective(Objective):
             caps.add("gradient")
         if self._fn_hvp is not None:
             caps.add("hvp")
-        if self._fn_hsolve is not None:
-            caps.add("hessian_solve")
         return frozenset(caps)
 
     def _value(self, x):
@@ -192,11 +174,6 @@ class CallableObjective(Objective):
         if self._fn_hvp is None:
             raise NotImplementedError("objective has no hvp")
         return self._fn_hvp(x, v)
-
-    def _hessian_solve(self, x, rhs):
-        if self._fn_hsolve is None:
-            raise NewtonUnavailableError("newton direction unavailable")
-        return self._fn_hsolve(x, rhs)
 
 
 class LinearLossObjective(Objective):
@@ -325,8 +302,8 @@ class CompositeObjective(Objective):
     """f(x) = ||A x - b||^2 + mu * ||x||_1 with exact-value reporting.
 
     The exact objective is nonsmooth for mu > 0, so this class only carries
-    gradient/hvp/hessian_solve capabilities when mu == 0 (plain least
-    squares, Hessian 2 A^T A). Smooth machinery for mu > 0 lives on the
+    gradient/hvp capabilities when mu == 0 (plain least squares, Hessian
+    2 A^T A). Smooth machinery for mu > 0 lives on the
     view returned by :meth:`smoothed`, which replaces |t| with
     sqrt(t^2 + eps^2) - eps.
 
@@ -350,13 +327,12 @@ class CompositeObjective(Objective):
         self.x_signal = None  # ground-truth signal when the generator knows it
         self._ssf_constant = None
         self._smoothed = None
-        self._hess = None
 
     @property
     def capabilities(self):
         caps = {"value", "composite"}
         if self.mu == 0.0:
-            caps |= {"gradient", "hvp", "hessian_solve"}
+            caps |= {"gradient", "hvp"}
         return frozenset(caps)
 
     @property
@@ -414,23 +390,6 @@ class CompositeObjective(Objective):
                 "exact composite hvp undefined for mu > 0; use smoothed()"
             )
         return 2.0 * self.op.adjoint(self.op.apply(v))
-
-    def _hessian_solve(self, x, rhs):
-        # Hessian 2 A^T A is constant; factor it lazily into a dense solve.
-        if self.mu != 0.0:
-            raise NewtonUnavailableError("newton direction unavailable")
-        if not isinstance(self.op, DenseOperator):
-            raise NewtonUnavailableError("newton direction unavailable")
-        if self._hess is None:
-            a = self.op.matrix
-            self._hess = 2.0 * (a.T @ a)
-        try:
-            d = np.linalg.solve(self._hess, rhs)
-        except np.linalg.LinAlgError:
-            raise NewtonUnavailableError("newton direction unavailable") from None
-        if not np.all(np.isfinite(d)):
-            raise NewtonUnavailableError("newton direction unavailable")
-        return d
 
 
 class SmoothedComposite(Objective):

@@ -13,13 +13,10 @@ from enum import Enum
 
 import numpy as np
 
-from .core import NewtonUnavailableError
-
 __all__ = [
     "DirectionKind",
     "OrthState",
     "dir_orth_update",
-    "dir_newton",
 ]
 
 
@@ -27,7 +24,6 @@ class DirectionKind(str, Enum):
     GRADIENT = "gradient"
     PCD = "pcd"
     SSF = "ssf"
-    NEWTON = "newton"
 
 
 @dataclass
@@ -69,19 +65,3 @@ def dir_orth_update(state, x_k, g_k):
     wdir = -wsum / nrm if nrm > 0 else np.zeros_like(wsum)
     return wdir, np.asarray(x_k, dtype=np.float64) - state.x0
 
-
-def dir_newton(obj, x, g):
-    """Newton direction d = -H(x)^{-1} g via the objective's Hessian solve.
-
-    Requires the hessian_solve capability; raises NewtonUnavailableError
-    (message "newton direction unavailable") when the solve fails or the
-    result is not a descent direction, so callers can fall back to the
-    gradient. A zero gradient returns the zero vector.
-    """
-    g = np.asarray(g, dtype=np.float64)
-    if not np.any(g):
-        return np.zeros_like(g)
-    d = obj.hessian_solve(x, -g)
-    if not np.all(np.isfinite(d)) or float(g @ d) >= 0.0:
-        raise NewtonUnavailableError("newton direction unavailable")
-    return d

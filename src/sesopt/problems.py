@@ -241,15 +241,6 @@ class ExpSquaresObjective(LinearLossObjective):
         e = self._exp_term(x)
         return self.j2 * v + e * float(np.add.reduce(v))
 
-    def _hessian_solve(self, x, rhs):
-        # (D + e * ones ones^T)^{-1} rhs via the rank-one update formula.
-        e = self._exp_term(x)
-        dinv_rhs = rhs / self.j2
-        dinv_one = 1.0 / self.j2
-        denom = 1.0 + e * float(np.sum(dinv_one))
-        coef = e * float(np.sum(dinv_rhs)) / denom
-        return dinv_rhs - coef * dinv_one
-
 
 def expsquares_ground_truth(n, tol=1e-14):
     """Exact optimum of the exponents-and-squares objective.

@@ -23,14 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CompositeObjective, NewtonUnavailableError
-from .directions import DirectionKind, OrthState, dir_newton, dir_orth_update
+from .core import CompositeObjective
+from .directions import DirectionKind, OrthState, dir_orth_update
 from .kernels import (pcd_direction, pcd_reciprocals, smooth_abs_grad,
                       ssf_direction)
 from .subspace import HistoryBuffer, build_frame, subspace_minimize
 from .trace import Recorder
 
-__all__ = ["SesopConfig", "run_sesop", "run_sesop_newton"]
+__all__ = ["SesopConfig", "run_sesop"]
 
 # damped Newton steps per frame solve; one doubles the matvecs to target
 # on fig1, three gains nothing over two
@@ -41,7 +41,7 @@ FRAME_NEWTON_STEPS = 2
 class SesopConfig:
     """Knobs for the subspace driver.
 
-    direction: first frame column ("gradient", "pcd", "ssf" or "newton").
+    direction: first frame column ("gradient", "pcd" or "ssf").
     include_orth: add the weighted-gradient and total-step columns, which
         carry the accelerated worst-case rate.
     history: number of previous steps kept in the frame.
@@ -89,13 +89,6 @@ def run_sesop(obj, x0, config=None, callback=None, aux_metric=None):
     return _run_smooth(obj, x0, cfg, direction, callback, aux_metric)
 
 
-def run_sesop_newton(obj, x0, config=None, callback=None):
-    """Subspace solver whose first column is the Newton direction."""
-    cfg = config if config is not None else SesopConfig()
-    cfg = SesopConfig(**{**cfg.__dict__, "direction": "newton"})
-    return run_sesop(obj, x0, cfg, callback)
-
-
 def _run_composite(comp, x0, cfg, direction, callback, aux_metric=None):
     c = comp.ssf_constant  # force the lazy power iteration before reset
     rec = Recorder(comp, _desc(cfg), stop_at=cfg.grad_tol, f_tol=cfg.f_tol,
@@ -123,7 +116,7 @@ def _run_composite(comp, x0, cfg, direction, callback, aux_metric=None):
             break
 
         g_s = None  # smoothed gradient, for the columns that use it
-        if direction not in (DirectionKind.PCD, DirectionKind.SSF) or orth is not None:
+        if direction == DirectionKind.GRADIENT or orth is not None:
             g_s = 2.0 * atr
             if mu != 0.0:
                 g_s = g_s + mu * smooth_abs_grad(x, eps)
@@ -132,13 +125,6 @@ def _run_composite(comp, x0, cfg, direction, callback, aux_metric=None):
             cols.append((pcd_direction(x, atr, pcd_recip, mu), "pcd", None))
         elif direction == DirectionKind.SSF:
             cols.append((d_ssf, "ssf", None))
-        elif direction == DirectionKind.NEWTON:
-            try:
-                d_n = dir_newton(comp, x, g_s)
-                cols.append((d_n, "newton", None))
-            except NewtonUnavailableError:
-                rec.note(["newton_unavailable"])
-            cols.append((-g_s, "gradient", None))
         else:
             cols.append((-g_s, "gradient", None))
         if orth is not None:
@@ -168,7 +154,9 @@ def _run_smooth(obj, x0, cfg, direction, callback, aux_metric=None):
                    max_matvecs=cfg.max_matvecs, callback=callback,
                    aux_metric=aux_metric)
 
-    # linear-loss objectives carry z = A x and cache the frame's products
+    # linear-loss objectives carry z = A x and cache the frame's products;
+    # each new iterate's z is handed to the objective, so one that caches
+    # A x takes the gradient there without another pass of A
     op = obj.linear_map if "linear_loss" in obj.capabilities else None
     x = np.array(x0, dtype=np.float64)
     z = None if op is None else op.apply(x)
@@ -181,15 +169,7 @@ def _run_smooth(obj, x0, cfg, direction, callback, aux_metric=None):
 
     k = 0
     while not rec.row(k, k, f, gnorm, x):
-        cols = []
-        if direction == DirectionKind.NEWTON:
-            try:
-                cols.append((dir_newton(obj, x, g), "newton", None))
-            except NewtonUnavailableError:
-                rec.note(["newton_unavailable"])
-            cols.append((-g, "gradient", None))
-        else:
-            cols.append((-g, "gradient", None))
+        cols = [(-g, "gradient", None)]
         if orth is not None:
             wdir, tstep = dir_orth_update(orth, x, g)
             cols.append((wdir, "orth_wgrad", None))
@@ -209,6 +189,8 @@ def _run_smooth(obj, x0, cfg, direction, callback, aux_metric=None):
         else:  # D alpha and A D alpha, free of the cancellation in x and z
             hist.push_step(frame.basis @ res.alpha, frame.products @ res.alpha)
         x, z = res.x, res.residual
+        if z is not None:
+            obj.seed_linear_map(x, z)
         f, g = obj.value_and_grad(x)
         gnorm = float(np.linalg.norm(g))
         k += 1

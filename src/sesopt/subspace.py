@@ -204,9 +204,10 @@ def _armijo_reduced(phi, alpha, delta, f0, slope, c1=1e-4, rho=0.5, max_bt=40):
     return None, f0
 
 
-def subspace_minimize(obj, frame, alpha0=None, inner_tol=1e-10, max_inner=20,
+def subspace_minimize(obj, frame, inner_tol=1e-10, max_inner=20,
                       residual=None):
-    """Minimize the objective over the affine frame by damped Newton.
+    """Minimize the objective over the affine frame by damped Newton from
+    its base point (alpha = 0).
 
     Composite objectives take the cached-products path: the reduced
     gradient and Hessian are built from A*D, the residual at the base and
@@ -222,23 +223,20 @@ def subspace_minimize(obj, frame, alpha0=None, inner_tol=1e-10, max_inner=20,
     backtracking search along the first frame column is attempted and the
     event is recorded.
     """
-    d = frame.basis
-    m = frame.size
-    alpha = np.zeros(m) if alpha0 is None else np.asarray(alpha0, dtype=np.float64).copy()
     events = []
-
     if isinstance(obj, CompositeObjective):
-        return _minimize_composite(obj, frame, alpha, inner_tol, max_inner,
-                                   residual, events)
+        return _minimize_composite(obj, frame, inner_tol, max_inner, residual,
+                                   events)
     if "linear_loss" in obj.capabilities:
-        return _minimize_linear_loss(obj, frame, alpha, inner_tol, max_inner,
+        return _minimize_linear_loss(obj, frame, inner_tol, max_inner,
                                      residual, events)
 
     if "hvp" not in obj.capabilities:
         raise ValueError("subspace_minimize needs hvp for smooth objectives")
 
     # C order keeps the summation order, and so the traces, of smooth runs
-    d = np.ascontiguousarray(d)
+    d = np.ascontiguousarray(frame.basis)
+    m = frame.size
     x0 = frame.base
 
     def phi(a):
@@ -252,23 +250,22 @@ def subspace_minimize(obj, frame, alpha0=None, inner_tol=1e-10, max_inner=20,
         return d.T @ np.column_stack([obj.hvp(xa, d[:, j]) for j in range(m)])
 
     alpha, f_cur, it = _damped_newton(
-        phi, phi_grad, hessian, alpha, inner_tol, max_inner, events)
+        phi, phi_grad, hessian, m, inner_tol, max_inner, events)
     x_new = x0 + d @ alpha
     return SubspaceResult(alpha=alpha, x=x_new, f=f_cur, residual=None,
                           inner_iters=it, events=events)
 
 
-def _damped_newton(phi, phi_grad, hessian, alpha, inner_tol, max_inner,
-                   events):
-    """Damped Newton on a smooth reduced objective; (alpha, f, iters).
+def _damped_newton(phi, phi_grad, hessian, m, inner_tol, max_inner, events):
+    """Damped Newton on a smooth m-dimensional reduced objective from
+    alpha = 0; (alpha, f, iters).
 
     Never leaves the sublevel set of alpha = 0: a result above it is reset
     to zero ("no_progress"), and a zero result is followed by the
     first-column fallback.
     """
-    m = alpha.size
-    f_base = phi(np.zeros(m))
-    f_cur = phi(alpha) if np.any(alpha) else f_base
+    alpha = np.zeros(m)
+    f_cur = f_base = phi(alpha)
     g = phi_grad(alpha)
     g_norm = math.sqrt(g.dot(g))
     tol = inner_tol * (1.0 + g_norm)
@@ -298,8 +295,7 @@ def _damped_newton(phi, phi_grad, hessian, alpha, inner_tol, max_inner,
     return alpha, f_cur, it
 
 
-def _minimize_linear_loss(obj, frame, alpha, inner_tol, max_inner, z0,
-                          events):
+def _minimize_linear_loss(obj, frame, inner_tol, max_inner, z0, events):
     """Damped Newton over the frame of a linear-loss objective on cached
     products only.
 
@@ -333,7 +329,7 @@ def _minimize_linear_loss(obj, frame, alpha, inner_tol, max_inner, z0,
         return p.T @ (d2[:, None] * p) + gram
 
     alpha, _, it = _damped_newton(
-        phi, phi_grad, hessian, alpha, inner_tol, max_inner, events)
+        phi, phi_grad, hessian, frame.size, inner_tol, max_inner, events)
     x_new = x0 + d @ alpha
     z_new = z0 + p @ alpha
     f_new = float(np.add.reduce(obj.loss(z_new))) + 0.5 * float(x_new @ (q * x_new))
@@ -380,8 +376,7 @@ _FIRST_TRIALS = _TRIALS.tolist()
 _FIRST_COEF = np.stack((np.ones(_BATCH), _TRIALS), axis=1)  # rows (1, t)
 
 
-def _minimize_composite(comp, frame, alpha, inner_tol, max_inner, residual,
-                        events):
+def _minimize_composite(comp, frame, inner_tol, max_inner, residual, events):
     """Damped Newton over the frame on cached products only.
 
     With P = (AD)^T, r = r0 + P^T alpha and x = x0 + D alpha, one product
@@ -409,15 +404,13 @@ def _minimize_composite(comp, frame, alpha, inner_tol, max_inner, residual,
     mu, eps = comp.mu, comp.smoothing_eps
     e2, n_eps = eps * eps, n * eps
     nx = n if mu != 0.0 else 0  # the L1 columns of the product
-    moved = alpha.any()
-    r = r0 + dot(alpha, p) if moved else r0
     left = np.empty((k + 1, nx + p.shape[1]))
     right = np.empty((k, nx + p.shape[1]))
     mul(p, 2.0, left[:k, nx:])
-    mul(r, 2.0, left[k, nx:])
+    mul(r0, 2.0, left[k, nx:])
     right[:, nx:] = p
     rho = left[k, nx:]  # 2 r, moved along with the Armijo steps
-    fr = f = float(dot(r, r))
+    fr = f = float(dot(r0, r0))
     u = np.empty(p.shape[1])  # P^T delta
     steps = []  # accepted (t, delta)
 
@@ -431,10 +424,7 @@ def _minimize_composite(comp, frame, alpha, inner_tol, max_inner, residual,
         w, ones = work[-2], work[-1]
         ones.fill(1.0)
         lw, lq = left[:k, :n], left[k, :n]
-        if moved:
-            add(x0, dot(alpha, b), x)
-        else:
-            x[:] = x0
+        x[:] = x0
         xt[0] = x
         mul(x, x, s2t[0])
         add(s2t[0], e2, s2t[0])
@@ -511,11 +501,12 @@ def _minimize_composite(comp, frame, alpha, inner_tol, max_inner, residual,
         hess, g = newton_system()
         g_norm = math.sqrt(dot(g, g))
 
-    if not moved and not steps and g_norm > tol:
+    if not steps and g_norm > tol:
         events.append(_first_column_fallback(search, g)[2])
+    alpha = np.zeros(k)
     if steps:
         ts, deltas = zip(*steps)
-        alpha = alpha + dot(ts, deltas)
+        alpha += dot(ts, deltas)
 
     def point(a):
         return x0 + dot(a, b), r0 + dot(a, p)

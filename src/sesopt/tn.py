@@ -31,6 +31,10 @@ from .trace import Recorder
 __all__ = ["QuadraticModel", "InnerCgState", "inner_cg", "run_tn_classic",
            "run_sesop_tn"]
 
+# damped Newton steps per frame solve: SESOP-TN solves each frame until the
+# reduced gradient meets subspace_minimize's 1e-10 tolerance or this cap
+FRAME_NEWTON_STEPS = 20
+
 
 @dataclass
 class QuadraticModel:
@@ -241,13 +245,13 @@ def run_tn_classic(obj, x0, l_max=10, grad_tol=1e-8, f_tol=0.0, max_iters=500,
 
 def run_sesop_tn(obj, x0, l_max=10, outer_history=2, grad_tol=1e-8, f_tol=0.0,
                  max_iters=500, max_cum_steps=None, max_matvecs=None,
-                 inner_tol=1e-10, max_inner=20, trace_inner=False,
-                 callback=None):
+                 trace_inner=False, callback=None):
     """Truncated Newton with a subspace step instead of the line search.
 
     After each truncated inner run the next iterate is the exact minimizer
     over the frame {truncated step, model gradient at the truncation
-    point, last inner direction, previous outer steps, previous gradient}.
+    point, last inner direction, previous outer steps, previous gradient},
+    found by at most FRAME_NEWTON_STEPS damped Newton steps.
     The last inner direction is offered only after two or more inner
     steps: after one it is the truncated step itself.
     The next inner run warm-starts from the two directions
@@ -312,8 +316,8 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, grad_tol=1e-8, f_tol=0.0,
         frame = build_frame(x, frame_columns(st, prev_grad), hist,
                             outer_history, op=op,
                             with_products=op is not None)
-        res = subspace_minimize(obj, frame, inner_tol=inner_tol,
-                                max_inner=max_inner, residual=r)
+        res = subspace_minimize(obj, frame, max_inner=FRAME_NEWTON_STEPS,
+                                residual=r)
         rec.note(res.events)
         step = res.x - x
         if not np.any(res.alpha) or not step.any():

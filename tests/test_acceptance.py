@@ -273,7 +273,6 @@ def test_property_suite_gradients_surrogates_monotone_descent_traces(tmp_path):
         ("sesop:direction=gradient,orth=1,history=5", smooth),
         ("sesop:direction=pcd,history=5", comp),
         ("sesop:direction=ssf,history=5", comp),
-        ("sesop_newton", smooth),
         ("tn:l_max=8", exps),
         ("sesop_tn:l_max=8", exps),
     )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sesopt import (CallableObjective, CompositeObjective, Counters,
-                    DenseOperator, NewtonUnavailableError, check_gradient,
+                    DenseOperator, check_gradient,
                     power_iteration_sq_norm, seeded_rng, soft_threshold)
 
 from sesopt.problems import _OnesRow
@@ -31,13 +31,6 @@ def test_counters_track_every_call():
     c.reset()
     assert (c.matvecs, c.fevals, c.gevals, c.hvps) == (0, 0, 0, 0)
     assert snap.fevals == 2  # snapshot is detached
-
-
-def test_hessian_solve_not_counted_as_hvp():
-    obj, _, _ = small_quadratic()
-    obj.counters.reset()
-    obj.hessian_solve(np.zeros(obj.dim), np.ones(obj.dim))
-    assert obj.counters.hvps == 0
 
 
 def test_seeded_rng_deterministic():
@@ -162,7 +155,7 @@ def test_composite_value_and_capabilities():
         obj.grad(x)
 
     quad, _, _ = small_quadratic()
-    assert {"gradient", "hvp", "hessian_solve"} <= quad.capabilities
+    assert quad.capabilities == {"value", "composite", "gradient", "hvp"}
 
 
 def test_composite_residual_bookkeeping():
@@ -210,17 +203,6 @@ def test_smoothed_view_consistency():
     np.testing.assert_allclose(sm.hvp(x, v), fd, rtol=1e-4, atol=1e-6)
 
 
-def test_composite_hessian_solve_and_newton_guard():
-    quad, a, _ = small_quadratic()
-    rhs = seeded_rng(5).standard_normal(quad.dim)
-    d = quad.hessian_solve(np.zeros(quad.dim), rhs)
-    np.testing.assert_allclose(2.0 * (a.T @ (a @ d)), rhs, rtol=1e-8, atol=1e-10)
-
-    l1, _ = small_l1()
-    with pytest.raises(NewtonUnavailableError):
-        l1.hessian_solve(np.zeros(l1.dim), rhs[: l1.dim])
-
-
 # -- gradient checker and callable adapter -----------------------------------
 
 def test_check_gradient_accepts_true_and_flags_wrong():
@@ -245,8 +227,6 @@ def test_callable_objective_capabilities():
     assert f.capabilities == {"value"}
     with pytest.raises(NotImplementedError):
         f.grad(np.zeros(3))
-    with pytest.raises(NewtonUnavailableError):
-        f.hessian_solve(np.zeros(3), np.zeros(3))
     g = CallableObjective(3, value=lambda z: float(z @ z),
                           grad=lambda z: 2 * z,
                           hvp=lambda z, v: 2 * v)

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from sesopt import (CallableObjective, CompositeObjective, DenseOperator,
-                    NewtonUnavailableError, OrthState, SesopConfig, dir_newton,
-                    dir_orth_update, run_fista, run_sesop, seeded_rng,
-                    soft_threshold)
+                    OrthState, SesopConfig, dir_orth_update, run_fista,
+                    run_sesop, seeded_rng, soft_threshold)
 from sesopt.kernels import pcd_direction, pcd_reciprocals, ssf_direction
 
-from conftest import small_l1, small_quadratic
+from conftest import small_l1
 
 
 # -- PCD ----------------------------------------------------------------------
@@ -118,32 +117,3 @@ def test_orth_directions_content():
     w2 = 1.618033988749895
     s = 1.0 * g1 + w2 * g2
     np.testing.assert_allclose(wdir, -s / np.linalg.norm(s), rtol=1e-14)
-
-
-# -- Newton -------------------------------------------------------------------
-
-def test_newton_direction_exact_on_quadratic():
-    obj, a, _ = small_quadratic(n=15)
-    x = seeded_rng(38).standard_normal(15)
-    g = obj.grad(x)
-    d = dir_newton(obj, x, g)
-    want = np.linalg.solve(2.0 * a.T @ a, -g)
-    np.testing.assert_allclose(d, want, rtol=1e-9, atol=1e-11)
-    assert float(g @ d) < 0.0
-
-
-def test_newton_zero_gradient_and_failures():
-    obj, _, _ = small_quadratic(n=5)
-    z = dir_newton(obj, np.zeros(5), np.zeros(5))
-    np.testing.assert_array_equal(z, np.zeros(5))
-
-    ascent = CallableObjective(3, value=lambda z: 0.0,
-                               hessian_solve=lambda x, rhs: -rhs)
-    g = np.ones(3)
-    with pytest.raises(NewtonUnavailableError):
-        dir_newton(ascent, np.zeros(3), g)  # d = g is not a descent direction
-
-    broken = CallableObjective(3, value=lambda z: 0.0,
-                               hessian_solve=lambda x, rhs: rhs * np.nan)
-    with pytest.raises(NewtonUnavailableError):
-        dir_newton(broken, np.zeros(3), g)

@@ -3,7 +3,7 @@ import pytest
 
 from sesopt import (CallableObjective, SesopConfig, make_expsquares,
                     make_l1_ls, make_quadratic_ls, run_linear_cg, run_sesop,
-                    run_sesop_newton, seeded_rng, snr_db, subspace_minimize)
+                    seeded_rng, snr_db, subspace_minimize)
 from sesopt import sesop as sesop_module
 
 from conftest import assert_monotone
@@ -38,34 +38,6 @@ def test_history_one_matches_linear_cg():
         assert dev <= 1e-8, f"iterate {k} deviates by {dev:.3e}"
 
 
-def test_newton_direction_one_step_on_quadratic():
-    obj = make_quadratic_ls(35, seed=4)
-    x, trace = run_sesop_newton(obj, np.zeros(35))
-    assert trace.header["status"] == "stationary"
-    assert trace.final.iter == 1  # a single outer step reaches the optimum
-    assert trace.final.f_value <= 1e-16 * trace.records[0].f_value
-
-
-def test_newton_fast_on_expsquares():
-    obj = make_expsquares(40)
-    x, trace = run_sesop_newton(obj, np.full(40, 0.5),
-                                SesopConfig(grad_tol=1e-12, max_iters=30))
-    gaps = trace.column("f_minus_fopt")
-    assert trace.final.iter <= 10
-    assert gaps[-1] <= 1e-12 * max(1.0, gaps[0])
-    assert_monotone(trace.column("f_value"))
-
-
-def test_newton_unavailable_falls_back_to_gradient():
-    # mu > 0 has no Hessian solve; every iteration logs the fallback
-    obj = make_l1_ls(20, 40, seed=6, mu=1e-3)
-    x, trace = run_sesop_newton(obj, np.zeros(40),
-                                SesopConfig(max_iters=5, grad_tol=0.0))
-    assert trace.header["solver"].endswith("direction=newton,orth=0,history=7")
-    assert "newton_unavailable" in trace.header.get("events", "")
-    assert_monotone(trace.column("f_value"))
-
-
 def test_composite_directions_require_composite():
     smooth = CallableObjective(4, value=lambda z: float(z @ z),
                                grad=lambda z: 2 * z, hvp=lambda z, v: 2 * v)
@@ -74,8 +46,9 @@ def test_composite_directions_require_composite():
             run_sesop(smooth, np.zeros(4), SesopConfig(direction=d))
     with pytest.raises(ValueError, match="'tn' is not a valid"):
         run_sesop(smooth, np.zeros(4), SesopConfig(direction="tn"))
-    with pytest.raises(ValueError, match="valid: gradient, newton, pcd, ssf$"):
-        run_sesop(smooth, np.zeros(4), SesopConfig(direction="cg"))
+    for d in ("cg", "newton"):
+        with pytest.raises(ValueError, match="valid: gradient, pcd, ssf$"):
+            run_sesop(smooth, np.zeros(4), SesopConfig(direction=d))
 
 
 def test_composite_operator_budget_two_per_iteration():

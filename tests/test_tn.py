@@ -3,9 +3,9 @@ import pytest
 
 from sesopt import (CallableObjective, DenseOperator, HistoryBuffer,
                     InnerCgState, LinearLossObjective, QuadraticModel,
-                    build_frame, inner_cg, make_expsquares, make_quadratic_ls,
-                    make_svm_smooth, run_linear_cg, run_sesop_tn,
-                    run_tn_classic, seeded_rng)
+                    SesopConfig, build_frame, inner_cg, make_expsquares,
+                    make_quadratic_ls, make_svm_smooth, run_linear_cg,
+                    run_sesop, run_sesop_tn, run_tn_classic, seeded_rng)
 from sesopt.bench import run_solver
 from sesopt.tn import frame_columns
 
@@ -554,19 +554,30 @@ def test_svm_traces_are_those_of_uncached_formulas():
 def test_sesop_tn_carried_map_stays_at_x_w():
     # the carried z = X w is summed from frame products step after step;
     # it must not drift from a fresh product over a long run (a large C
-    # keeps this instance from converging within the 400 iterations)
-    svm = make_svm_smooth(400, 200, seed=2, c_penalty=100.0,
-                          violation_frac=0.05)
-    handed = []
-    seed = svm.seed_linear_map
-    svm.seed_linear_map = lambda w, z: (handed.append((w.copy(), z.copy())),
-                                        seed(w, z))
-    _, tr = run_sesop_tn(svm, np.zeros(svm.dim), l_max=3, grad_tol=0.0,
-                         max_iters=400)
-    assert tr.final.iter == len(handed) == 400
-    worst = max(np.linalg.norm(z - svm.x_rows @ w) / np.linalg.norm(svm.x_rows @ w)
-                for w, z in handed)
-    assert worst <= 1e-12
+    # keeps this instance from converging within the 400 iterations).
+    # SESOP-TN and SESOP both hand each new iterate's z to the SVM, so its
+    # margins come from X only at the starting point
+    runs = {
+        "sesop_tn": lambda o: run_sesop_tn(o, np.zeros(o.dim), l_max=3,
+                                           grad_tol=0.0, max_iters=400),
+        "sesop": lambda o: run_sesop(o, np.zeros(o.dim),
+                                     SesopConfig(grad_tol=0.0, max_iters=400)),
+    }
+    for name, run in runs.items():
+        svm = make_svm_smooth(400, 200, seed=2, c_penalty=100.0,
+                              violation_frac=0.05)
+        handed, kept = [], []
+        seed, keep = svm.seed_linear_map, svm._keep
+        svm.seed_linear_map = lambda w, z: (handed.append((w.copy(), z.copy())),
+                                            seed(w, z))
+        # every cache entry, seeded or computed from X, passes through _keep
+        svm._keep = lambda w, margins: (kept.append(1), keep(w, margins))
+        _, tr = run(svm)
+        assert tr.final.iter == len(handed) == 400, name
+        assert len(kept) - len(handed) == 1, name  # margins from X at x0 only
+        worst = max(np.linalg.norm(z - svm.x_rows @ w)
+                    / np.linalg.norm(svm.x_rows @ w) for w, z in handed)
+        assert worst <= 1e-12, name
 
 
 @pytest.mark.parametrize("spec", ["tn:l_max=5", "sd", "nlcg", "cg"])

@@ -119,7 +119,8 @@ def test_run_single_is_byte_reproducible(tmp_path):
 
 
 def test_parse_solver_lists_valid_names():
-    with pytest.raises(ValueError, match="valid:.*sesop_tn"):
+    with pytest.raises(ValueError, match="valid: cg, sd, nlcg, ista, fista, "
+                                         "sesop, tn, sesop_tn$"):
         parse_solver("simplex")
     name, opts = parse_solver("sesop_tn: l_max = 5 ,outer_history=3")
     assert name == "sesop_tn"
@@ -164,8 +165,7 @@ def test_every_solver_counts_records_and_stops_alike(name, monkeypatch):
             getattr(bench, fn), callback=lambda k, x: seen.append(k)))
 
     def run(**budget):
-        # the proximal and subspace solvers get an l1 problem, on which
-        # sesop_newton cannot finish in one exact Newton step
+        # the proximal and subspace solvers get an l1 problem
         obj = (make_quadratic_ls(40, seed=3)
                if name in ("cg", "sd", "nlcg", "tn", "sesop_tn")
                else make_l1_ls(20, 40, seed=3, mu=1e-3))
@@ -216,7 +216,8 @@ def test_cli_flag_validation(tmp_path, capsys):
     assert main(["--problem", "kind=quadratic_ls,n=4", "--solver", "simplex",
                  "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert "unknown solver" in err
+    assert "unknown solver 'simplex'; valid: cg, sd, nlcg, ista, fista, sesop, " \
+           "tn, sesop_tn" in err
     # an experiment's plan fixes its stop rules; the single-cell flags
     # must not be silently dropped
     for flag, value in (("--max-iters", "3"), ("--grad-tol", "1.0")):
