@@ -1,9 +1,9 @@
 """Shared abstractions: objectives, linear operators, counters, RNG.
 
 Everything a solver touches goes through this module. Objectives expose
-value/grad/hvp behind evaluation counters; linear operators count every
-apply/adjoint on a shared matvec counter, which is the primary cost axis
-of the benchmarks. ``LinearLossObjective`` marks objectives of
+value/grad/hvp behind evaluation counters, a block hvp counting one per
+column; linear operators count every apply/adjoint on a shared matvec
+counter, which is the primary cost axis of the benchmarks. ``LinearLossObjective`` marks objectives of
 the form sum_i phi((A x)_i) + 1/2 sum_j q_j x_j^2, whose subspace solve
 runs on cached products. ``CompositeObjective`` is the least-squares
 plus L1 objective
@@ -91,7 +91,9 @@ class Objective:
     """Base class for differentiable (or composite) objectives.
 
     Subclasses implement ``_value`` and optionally ``_grad`` and ``_hvp``;
-    the public methods do the counter bookkeeping.
+    the public methods do the counter bookkeeping. A block hvp is answered
+    by ``_hvp_block``, column by column unless a subclass shares the work
+    of its columns.
     ``capabilities`` reports what is actually available so solvers can
     check preconditions instead of catching AttributeError.
     """
@@ -127,8 +129,18 @@ class Objective:
         return self._value_and_grad(x)
 
     def hvp(self, x, v):
+        """H(x) v; an (n, k) block of columns gives the (n, k) block of
+        their products, counted as k hvps."""
+        x = np.asarray(x, dtype=np.float64)
+        v = np.asarray(v, dtype=np.float64)
+        if v.ndim == 2:
+            if v.shape[0] != self.dim:
+                raise ValueError(f"hvp block has {v.shape[0]} rows, "
+                                 f"expected {self.dim}")
+            self.counters.hvps += v.shape[1]
+            return self._hvp_block(x, v)
         self.counters.hvps += 1
-        return self._hvp(np.asarray(x, dtype=np.float64), np.asarray(v, dtype=np.float64))
+        return self._hvp(x, v)
 
     # -- implementation hooks ---------------------------------------------
     def _value(self, x):
@@ -142,6 +154,13 @@ class Objective:
 
     def _hvp(self, x, v):
         raise NotImplementedError
+
+    def _hvp_block(self, x, v):
+        # one column at a time, each bitwise that of hvp, in the layout of v
+        out = np.empty_like(v)
+        for j in range(v.shape[1]):
+            out[:, j] = self._hvp(x, v[:, j])
+        return out
 
 
 class CallableObjective(Objective):

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (CompositeObjective, DenseOperator, LinearLossObjective,
-                   LinearOperator, seeded_rng)
+from .core import (_BLOCK_BYTES, CompositeObjective, DenseOperator,
+                   LinearLossObjective, LinearOperator, seeded_rng)
 
 __all__ = [
     "GroundTruth",
@@ -200,7 +200,7 @@ class ExpSquaresObjective(LinearLossObjective):
     """f(x) = exp(-sum x) + (1/2) sum_j j^2 x_j^2 (j = 1..n).
 
     Smooth, strictly convex, with Hessian exp(-sum x) * ones ones^T +
-    diag(j^2); the rank-one structure gives a closed-form Hessian solve.
+    diag(j^2).
     As a linear loss, A is the all-ones row, phi(t) = exp(-t) and q = j^2.
     Values with sum(x) < -700 would overflow the exponential and raise.
     """
@@ -240,6 +240,17 @@ class ExpSquaresObjective(LinearLossObjective):
     def _hvp(self, x, v):
         e = self._exp_term(x)
         return self.j2 * v + e * float(np.add.reduce(v))
+
+    def _hvp_block(self, x, v):
+        # exp(-sum x) once per block, and each column's sum as _hvp takes
+        # it, so every column is bitwise its hvp. No cache across calls:
+        # keying one on x's contents would cost an array_equal pass, as
+        # much as the sum it saves
+        e = self._exp_term(x)
+        sums = np.array([np.add.reduce(col) for col in v.T])
+        out = np.multiply(self.j2[:, None], v, out=np.empty_like(v))
+        out += e * sums
+        return out
 
 
 def expsquares_ground_truth(n, tol=1e-14):
@@ -287,15 +298,20 @@ class SvmSquaredHinge(LinearLossObjective):
     not copied), phi_i(t) = C max(0, 1 - y_i t)^2 and q = 1.
 
     The margins of the last point seen are cached, keyed on the point's
-    contents, together with its active rows once an hvp has copied them.
-    A truncated Newton step values, differentiates and takes all its
-    Hessian products at one point, so they share one pass over X and one
-    copy of the active rows. Margins computed here are bitwise those of
-    recomputing. A solver that carries z = X w may seed the cache with
-    y * z through :meth:`seed_linear_map`; at that point results follow
-    the carried z, which can differ from X w in the last bits, until
-    another point is asked for. The cache makes an instance unsafe to
-    share between threads.
+    contents, with its active rows and their coefficients y_i (1 - margin_i)
+    once a gradient or an hvp asks for them. The active rows are X itself
+    when every row is active, and otherwise a copy in one buffer the size
+    of X that the instance keeps. The gradient w - 2C coef^T X_act is one
+    pass over the active rows; an hvp, of one column or a block, is one
+    more, over row blocks of ``core._BLOCK_BYTES`` that meet both of their
+    products while in cache. A truncated Newton step values, differentiates and takes all
+    its Hessian products at one point, so they share one pass over X for
+    the margins and one set of active rows. Margins computed here are
+    bitwise those of recomputing. A solver that carries z = X w may seed
+    the cache with y * z through :meth:`seed_linear_map`; at that point
+    results follow the carried z, which can differ from X w in the last
+    bits, until another point is asked for. The cache makes an instance
+    unsafe to share between threads.
     """
 
     def __init__(self, x_rows, y, c_penalty):
@@ -309,7 +325,8 @@ class SvmSquaredHinge(LinearLossObjective):
         self.linear_map = DenseOperator(x_rows, self.counters)
         self._at = None  # copy of the cached point
         self._margins = None
-        self._active_rows = None
+        self._active_rows = self._coef = None
+        self._rows_buf = None  # holds the active rows when some are not
 
     def loss(self, z):
         viol = np.maximum(0.0, 1.0 - self.y * z)
@@ -325,19 +342,41 @@ class SvmSquaredHinge(LinearLossObjective):
     def margins(self, w):
         """y * (X w), read-only; recomputed only when w's contents change."""
         if self._at is None or not np.array_equal(w, self._at):
-            # drop the old entry first: one copy of the active rows at most
-            self._at = self._margins = self._active_rows = None
+            # a new point: drop the old entry, rows and coefficients too
+            self._at = self._margins = self._active_rows = self._coef = None
             self._keep(w, self.y * (self.x_rows @ w))
         return self._margins
 
     def seed_linear_map(self, w, z):
         """Cache y * z as the margins of w, for z = X w carried by a solver."""
-        self._at = self._margins = self._active_rows = None
+        self._at = self._margins = self._active_rows = self._coef = None
         self._keep(w, self.y * np.asarray(z, dtype=np.float64))
 
     def _keep(self, w, margins):
         margins.flags.writeable = False
         self._at, self._margins = np.array(w, dtype=np.float64), margins
+
+    def _active(self, w):
+        """(rows, coef): the active rows of X at w and y * (1 - margins) on
+        them; the violation is zero on every other row."""
+        margins = self.margins(w)
+        if self._active_rows is None:
+            viol = 1.0 - margins
+            coef = self.y * viol
+            active = viol > 0.0
+            if active.all():
+                self._active_rows, self._coef = self.x_rows, coef
+            else:
+                # every copy goes to one buffer, so no point allocates (and
+                # faults in) rows of its own; indices are in range, and
+                # mode="clip" lets take write to the buffer directly
+                if self._rows_buf is None:
+                    self._rows_buf = np.empty_like(self.x_rows)
+                idx = np.flatnonzero(active)
+                rows = self._rows_buf[:idx.size]
+                np.take(self.x_rows, idx, axis=0, out=rows, mode="clip")
+                self._active_rows, self._coef = rows, coef[idx]
+        return self._active_rows, self._coef
 
     def hinge_sq_sum(self, w):
         viol = np.maximum(0.0, 1.0 - self.margins(w))
@@ -347,20 +386,20 @@ class SvmSquaredHinge(LinearLossObjective):
         return 0.5 * float(w @ w) + self.c_penalty * self.hinge_sq_sum(w)
 
     def _grad(self, w):
-        viol = np.maximum(0.0, 1.0 - self.margins(w))
-        return w - 2.0 * self.c_penalty * ((viol * self.y) @ self.x_rows)
-
-    def _value_and_grad(self, w):
-        viol = np.maximum(0.0, 1.0 - self.margins(w))
-        val = 0.5 * float(w @ w) + self.c_penalty * float(viol @ viol)
-        return val, w - 2.0 * self.c_penalty * ((viol * self.y) @ self.x_rows)
+        rows, coef = self._active(w)
+        return w - 2.0 * self.c_penalty * (coef @ rows)
 
     def _hvp(self, w, v):
-        margins = self.margins(w)
-        if self._active_rows is None:
-            self._active_rows = self.x_rows[(1.0 - margins) > 0.0]
-        xa = self._active_rows
-        return v + 2.0 * self.c_penalty * (xa.T @ (xa @ v))
+        # v + 2C X_act^T (X_act v), v one column or a block of them
+        rows = self._active(w)[0]
+        acc = np.zeros_like(v)
+        step = max(1, _BLOCK_BYTES // rows.strides[0])
+        for s in range(0, rows.shape[0], step):
+            block = rows[s:s + step]
+            acc += block.T @ (block @ v)
+        return v + 2.0 * self.c_penalty * acc
+
+    _hvp_block = _hvp
 
 
 def make_svm_smooth(num_examples, num_features, seed, c_penalty=1.0,
@@ -382,7 +421,7 @@ def make_svm_smooth(num_examples, num_features, seed, c_penalty=1.0,
     # push every point to margin distance from the separating hyperplane
     gap = margin - y * (x_rows @ w_ref)
     push = np.maximum(gap, 0.0)
-    x_rows = x_rows + (push * y)[:, None] * w_ref[None, :]
+    x_rows += (push * y)[:, None] * w_ref[None, :]  # no third X-sized array
 
     if violation_frac > 0:
         n_flip = int(round(violation_frac * num_examples))

@@ -247,7 +247,7 @@ def subspace_minimize(obj, frame, inner_tol=1e-10, max_inner=20,
 
     def hessian(a):
         xa = x0 + d @ a
-        return d.T @ np.column_stack([obj.hvp(xa, d[:, j]) for j in range(m)])
+        return d.T @ obj.hvp(xa, d)
 
     alpha, f_cur, it = _damped_newton(
         phi, phi_grad, hessian, m, inner_tol, max_inner, events)

@@ -74,16 +74,17 @@ class InnerCgState:
 def _warm_first_step(model, warm_pair):
     """Exact minimizer over span{u, v} when that 2x2 system is SPD.
 
-    Costs two Hessian products but advances as far as one CG step seeded
-    this way, so callers count it as a single step. Returns
-    (delta, h_delta) or None when the pair is unusable.
+    Costs two Hessian products, made in one block call, but advances as
+    far as one CG step seeded this way, so callers count it as a single
+    step. Returns (delta, h_delta) or None when the pair is unusable.
     """
     u, v = (np.asarray(w, dtype=np.float64) for w in warm_pair)
     if not (u.any() and v.any() and np.isfinite(u).all()
             and np.isfinite(v).all()):
         return None
-    hu = model.hvp(u)
-    hv = model.hvp(v)
+    # columns contiguous, as u and v are, so a column-by-column block is
+    # bitwise the two single products
+    hu, hv = model.hvp(np.array((u, v)).T).T
     k11 = float(u.dot(hu))
     k12 = float(u.dot(hv))
     k22 = float(v.dot(hv))

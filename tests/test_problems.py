@@ -7,6 +7,8 @@ from sesopt import (ProblemSpec, check_gradient, expsquares_ground_truth,
                     make_expsquares, make_l1_ls, make_quadratic_ls,
                     make_svm_smooth, seeded_rng)
 
+from conftest import svm_grad, svm_hvp
+
 
 # -- quadratic LS -------------------------------------------------------------
 
@@ -117,9 +119,76 @@ def _svm_reference(x_rows, y, c, w, v, z=None):
     margins = y * (x_rows @ w if z is None else z)
     viol = np.maximum(0.0, 1.0 - margins)
     val = 0.5 * float(w @ w) + c * float(viol @ viol)
-    g = w - 2.0 * c * ((viol * y) @ x_rows)
-    xa = x_rows[(1.0 - margins) > 0.0]
-    return val, g, v + 2.0 * c * (xa.T @ (xa @ v))
+    return (val, svm_grad(x_rows, y, c, margins, w),
+            svm_hvp(x_rows, y, c, margins, v))
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(a - b) / np.linalg.norm(b))
+
+
+def _svm_points(p, seed):
+    """w = 0, where every row is active, and two points where only some are."""
+    rng = seeded_rng(seed)
+    points = [np.zeros(p.dim)]
+    for scale in (0.02, 0.2):
+        w = scale * rng.standard_normal(p.dim)
+        assert 0 < int(np.sum(p.margins(w) < 1.0)) < p.y.size
+        points.append(w)
+    return points
+
+
+def test_svm_active_row_formulas_agree_with_full_x():
+    # 600 features: a 512 KiB row block holds 109 rows, so the 300 rows
+    # take three blocks
+    p = make_svm_smooth(300, 600, seed=4, violation_frac=0.1)
+    x_rows, y, c = p.x_rows, p.y, p.c_penalty
+    rng = seeded_rng(15)
+    for w in _svm_points(p, 16):
+        margins = y * (x_rows @ w)
+        viol = np.maximum(0.0, 1.0 - margins)
+        xa = x_rows[(1.0 - margins) > 0.0]
+        # the formulas before the active-row cache: every row of X
+        assert _rel(p.grad(w), w - 2.0 * c * ((viol * y) @ x_rows)) <= 1e-13
+        v = rng.standard_normal(p.dim)
+        assert _rel(p.hvp(w, v), v + 2.0 * c * (xa.T @ (xa @ v))) <= 1e-13
+        block = rng.standard_normal((p.dim, 3))
+        hb = p.hvp(w, block)
+        # and bitwise the reference formulas, over several row blocks
+        np.testing.assert_array_equal(p.grad(w), svm_grad(x_rows, y, c, margins, w))
+        np.testing.assert_array_equal(p.hvp(w, v), svm_hvp(x_rows, y, c, margins, v))
+        np.testing.assert_array_equal(hb, svm_hvp(x_rows, y, c, margins, block))
+        for j in range(3):
+            assert _rel(hb[:, j], p.hvp(w, block[:, j])) <= 1e-13
+
+
+def test_svm_all_active_rows_are_x_rows():
+    p = make_svm_smooth(300, 600, seed=4, violation_frac=0.1)
+    w0, w1, w2 = _svm_points(p, 16)
+    rows, coef = p._active(w0)
+    assert rows is p.x_rows  # no copy at w = 0
+    np.testing.assert_array_equal(coef, p.y)
+    rows, coef = p._active(w1)
+    active = p.margins(w1) < 1.0
+    np.testing.assert_array_equal(rows, p.x_rows[active])
+    np.testing.assert_array_equal(coef, (p.y * (1.0 - p.margins(w1)))[active])
+    # the copies of every point share one buffer
+    assert np.shares_memory(rows, p._active(w2)[0])
+
+
+def test_svm_cache_drops_rows_and_coefficients_together():
+    p = make_svm_smooth(300, 600, seed=4, violation_frac=0.1)
+    _, w1, w2 = _svm_points(p, 16)
+    p.grad(w1)
+    assert p._active_rows is not None and p._coef is not None
+    p.value(w1)  # the same point keeps them
+    assert p._active_rows is not None and p._coef is not None
+    p.value(w2)  # another point drops both; a value needs neither
+    assert p._active_rows is None and p._coef is None
+    p.hvp(w2, np.ones(p.dim))
+    assert p._active_rows is not None and p._coef is not None
+    p.seed_linear_map(w2, p.x_rows @ w2)  # a seed drops both, even here
+    assert p._active_rows is None and p._coef is None
 
 
 def test_svm_cached_products_are_bitwise_the_uncached_ones():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from sesopt import (CallableObjective, CompositeObjective, DenseOperator,
-                    EmptySubspaceError, HistoryBuffer, LineSearchError,
-                    build_frame, line_search_backtracking, make_expsquares,
+from sesopt import (CallableObjective, DenseOperator, EmptySubspaceError,
+                    HistoryBuffer, LineSearchError, build_frame,
+                    line_search_backtracking, make_expsquares,
                     make_svm_smooth, seeded_rng, subspace_minimize)
 
 from conftest import small_l1, small_quadratic

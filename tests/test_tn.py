@@ -9,7 +9,7 @@ from sesopt import (CallableObjective, DenseOperator, HistoryBuffer,
 from sesopt.bench import run_solver
 from sesopt.tn import frame_columns
 
-from conftest import assert_monotone
+from conftest import assert_monotone, svm_grad, svm_hvp
 
 
 def _spd_model(n=18, seed=51, f0=3.0):
@@ -112,8 +112,7 @@ def _textbook_warm_first_step(model, warm_pair):
     if (not np.any(u) or not np.any(v)
             or not np.all(np.isfinite(u)) or not np.all(np.isfinite(v))):
         return None
-    hu = model.hvp(u)
-    hv = model.hvp(v)
+    hu, hv = model.hvp(np.array((u, v)).T).T  # one block, columns contiguous
     k11 = float(u @ hu)
     k12 = float(u @ hv)
     k22 = float(v @ hv)
@@ -491,7 +490,9 @@ def _uncached_svm(svm):
     It keeps the linear-loss structure, so sesop_tn solves its frames on
     the same cached-products path as the SVM itself, and takes the carried
     X w that sesop_tn hands over: the margins at that point are y * z
-    until another point is asked for, and y * (X w) everywhere else.
+    until another point is asked for, and y * (X w) everywhere else. Its
+    gradient sums over the active rows and its hvp answers a block in one
+    pass, as the SVM's do.
     """
     x_rows, y, c = svm.x_rows.copy(), svm.y.copy(), svm.c_penalty
     carried = []  # the (point, X w) handed over last
@@ -513,11 +514,10 @@ def _uncached_svm(svm):
         return 0.5 * float(w @ w) + c * float(s @ s)
 
     def grad(w):
-        return w - 2.0 * c * ((viol(w) * y) @ x_rows)
+        return svm_grad(x_rows, y, c, margins(w), w)
 
-    def hvp(w, v):
-        xa = x_rows[(1.0 - margins(w)) > 0.0]
-        return v + 2.0 * c * (xa.T @ (xa @ v))
+    def hvp(w, v):  # one column or a block
+        return svm_hvp(x_rows, y, c, margins(w), v)
 
     def loss(z):
         s = np.maximum(0.0, 1.0 - y * z)
@@ -532,6 +532,7 @@ def _uncached_svm(svm):
     twin.quad_diag = np.ones(svm.dim)
     twin.loss, twin.loss_derivatives = loss, loss_derivatives
     twin.seed_linear_map = seed_linear_map
+    twin._hvp_block = hvp
     return twin
 
 
