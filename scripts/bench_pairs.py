@@ -9,13 +9,25 @@ base runs first in even pairs and the change runs first in odd ones, so
 drift of the machine falls on both sides alike. For every end-to-end metric
 of each workload it writes both sides' medians and quartiles, every run's
 value, the pairs the change won (ties count for neither) and the change's
-median relative to the base's, with the bound from ``BENCHMARK.json``. A
-gain counts as resolved only over at least ten pairs in which every run was
-correct and the change failed no more operations than the base, when the
-change wins nine in ten pairs and its median beats the base's by more than
-the base's interquartile range. The JSON also names the two git commits,
-the BLAS thread count that perfbench reports and the machine. It is
-rewritten after every pair, so an interrupted run keeps the pairs made.
+median relative to the base's, with the bound from ``BENCHMARK.json``,
+and a verdict:
+
+- ``gain``: over at least ten pairs in which every run was correct and the
+  change failed no more operations than the base, the change wins nine in
+  ten pairs and its median beats the base's by more than the base's
+  interquartile range;
+- ``worse``: the change's median is worse than the base's by more than the
+  bound, taken relative to the base's median;
+- ``unresolved``: the change's median is worse, within the bound, but the
+  base's interquartile range is wider than the bound, so the pairs cannot
+  tell the move from noise; so is every metric of fewer than two pairs;
+- ``within_bound``: anything else.
+
+A change whose every run beats every base run has the better median, so it
+is never ``unresolved``. The rows that are not ``within_bound`` are printed
+at the end. The JSON also names the two git commits, the BLAS thread count
+that perfbench reports and the machine. It is rewritten after every pair,
+so an interrupted run keeps the pairs made.
 """
 
 from __future__ import annotations
@@ -81,14 +93,42 @@ def summarize(pairs, bounds):
             row["base"], row["change"] = side_stats(base), side_stats(change)
             b_med, c_med = row["base"]["median"], row["change"]["median"]
             row["change_over_base"] = c_med / b_med if b_med else None
-            row["base_iqr"] = row["base"]["q3"] - row["base"]["q1"]
-            row["gain_resolved"] = (clean and len(pairs) >= MIN_PAIRS
-                                    and wins >= 0.9 * len(pairs)
-                                    and sign * (b_med - c_med) > row["base_iqr"])
+            row["base_iqr"] = iqr = row["base"]["q3"] - row["base"]["q1"]
+            row["verdict"] = verdict(
+                sign * (c_med - b_med), iqr, abs(b_med), bound,
+                clean and len(pairs) >= MIN_PAIRS and wins >= 0.9 * len(pairs))
         else:
             row["base"], row["change"] = {"runs": base}, {"runs": change}
+            row["verdict"] = "unresolved"
         out[name] = row
     return out
+
+
+def verdict(worsening, base_iqr, scale, bound, wins_enough):
+    """Verdict of one metric. ``worsening`` is how much worse the change's
+    median is than the base's (negative when better), ``scale`` the base's
+    median, which a relative ``bound`` (None: no bound) multiplies."""
+    if wins_enough and -worsening > base_iqr:
+        return "gain"
+    if bound is not None and worsening > 0.0:
+        if worsening > bound * scale:
+            return "worse"
+        if base_iqr > bound * scale:
+            return "unresolved"
+    return "within_bound"
+
+
+def flagged(report):
+    """One line per metric row of ``report`` that is not within_bound."""
+    lines = []
+    for workload, entry in report["workloads"].items():
+        for name, row in entry["metrics"].items():
+            if row["verdict"] != "within_bound":
+                ratio = row.get("change_over_base")
+                lines.append(f"{workload} {name}: {row['verdict']}, change/base "
+                             + ("n/a" if ratio is None else f"{ratio:.3f}")
+                             + f", {row['change_wins']}/{row['pairs']} pairs won")
+    return lines
 
 
 def main(argv=None):
@@ -142,6 +182,8 @@ def main(argv=None):
             args.out.write_text(json.dumps(report, indent=2) + "\n")
             print(f"{workload} pair {i + 1}/{args.pairs} (seed {seed}) done",
                   file=sys.stderr, flush=True)
+    for line in flagged(report):
+        print(line)
     return 0
 
 

@@ -6,8 +6,9 @@ by the inner Newton solves. Each is a short chain of NumPy ufuncs whose
 operation order is fixed (a precomputed reciprocal is multiplied rather
 than divided by, where noted), so solver traces are byte-reproducible.
 
-All kernels are elementwise and return new float64 arrays; reductions are
-left to ``np.sum`` at call sites.
+All kernels are elementwise and return float64 arrays, new ones unless
+the direction kernels are handed ``out`` and ``work`` buffers to write
+into; reductions are left to ``np.sum`` at call sites.
 """
 
 import numpy as np
@@ -27,17 +28,33 @@ def soft_threshold_vec(v, tau):
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 
-def ssf_direction(x, atr, c, mu):
+def _soft_step(x, atr, inv, thr, out, work):
+    """sign(u) * max(|u| - thr, 0) - x with u = x - atr * inv, written into
+    ``out`` with ``work`` as scratch (new arrays when None)."""
+    if out is None:
+        out = np.empty_like(x)
+    if work is None:
+        work = np.empty_like(x)
+    u = np.multiply(atr, inv, out=out)
+    np.subtract(x, u, out=u)
+    np.abs(u, out=work)
+    np.subtract(work, thr, out=work)
+    np.maximum(work, 0.0, out=work)
+    np.sign(u, out=u)
+    u *= work
+    u -= x
+    return u
+
+
+def ssf_direction(x, atr, c, mu, out=None, work=None):
     """Separable-surrogate step minus x: soft(x - atr/c, mu/(2c)) - x.
 
-    ``atr`` is A^T(Ax - b). Implemented as multiplication by 1/c.
+    ``atr`` is A^T(Ax - b). Implemented as multiplication by 1/c. The
+    result goes into ``out`` when given; ``work`` is scratch of x's size.
     """
-    x = _as_f64(x)
-    atr = _as_f64(atr)
     inv = 1.0 / float(c)
-    u = x - atr * inv
-    thr = 0.5 * float(mu) * inv
-    return np.sign(u) * np.maximum(np.abs(u) - thr, 0.0) - x
+    return _soft_step(_as_f64(x), _as_f64(atr), inv, 0.5 * float(mu) * inv,
+                      out, work)
 
 
 def pcd_reciprocals(col_norms_sq):
@@ -53,21 +70,20 @@ def pcd_reciprocals(col_norms_sq):
     return inv, np.flatnonzero(~ok)
 
 
-def pcd_direction(x, atr, reciprocals, mu):
+def pcd_direction(x, atr, reciprocals, mu, out=None, work=None):
     """Parallel-coordinate-descent direction.
 
     Per coordinate j with column norm squared cn_j > 0:
         d_j = soft(x_j - atr_j / cn_j, mu / (2 cn_j)) - x_j
     Coordinates with cn_j <= 0 get d_j = 0 (skipped). ``reciprocals`` is
-    ``pcd_reciprocals(cn)``.
+    ``pcd_reciprocals(cn)``. The result goes into ``out`` when given;
+    ``work`` is scratch of x's size.
     """
-    x = _as_f64(x)
-    atr = _as_f64(atr)
     inv, skipped = reciprocals
-    u = x - atr * inv
-    thr = 0.5 * float(mu) * inv
-    d = np.sign(u) * np.maximum(np.abs(u) - thr, 0.0) - x
-    d[skipped] = 0.0
+    d = _soft_step(_as_f64(x), _as_f64(atr), inv, 0.5 * float(mu) * inv,
+                   out, work)
+    if skipped.size:
+        d[skipped] = 0.0
     return d
 
 

@@ -107,12 +107,13 @@ def _run_composite(comp, x0, cfg, direction, callback, aux_metric=None):
     f = comp.value_from_residual(r, x)
     orth = OrthState(x) if cfg.include_orth else None
     hist = HistoryBuffer(max(cfg.history, 1))
+    ssf_out, pcd_out, work = np.empty((3, x.size))  # direction buffers
 
     k = 0
     while True:
         atr = op.adjoint(r)
-        d_ssf = ssf_direction(x, atr, c, mu)
-        if rec.row(k, k, f, float(np.max(np.abs(d_ssf))), x):
+        d_ssf = ssf_direction(x, atr, c, mu, ssf_out, work)
+        if rec.row(k, k, f, float(np.abs(d_ssf, out=work).max()), x):
             break
 
         g_s = None  # smoothed gradient, for the columns that use it
@@ -122,7 +123,8 @@ def _run_composite(comp, x0, cfg, direction, callback, aux_metric=None):
                 g_s = g_s + mu * smooth_abs_grad(x, eps)
         cols = []
         if direction == DirectionKind.PCD:
-            cols.append((pcd_direction(x, atr, pcd_recip, mu), "pcd", None))
+            cols.append((pcd_direction(x, atr, pcd_recip, mu, pcd_out, work),
+                         "pcd", None))
         elif direction == DirectionKind.SSF:
             cols.append((d_ssf, "ssf", None))
         else:
@@ -135,13 +137,13 @@ def _run_composite(comp, x0, cfg, direction, callback, aux_metric=None):
         frame = build_frame(x, cols, hist, cfg.history, op=op,
                             with_products=True)
         res = subspace_minimize(comp, frame, max_inner=FRAME_NEWTON_STEPS,
-                                residual=r)
+                                residual=r, f_base=f)
         rec.note(res.events)
-        if not np.any(res.alpha) or not (res.x - x).any():
+        if not res.alpha.any() or not (res.x - x).any():
             # no step, or one lost below x's last digit
             return x, rec.finish("stalled")
         # D alpha and A D alpha, free of the cancellation in x and r
-        hist.push_step(frame.basis @ res.alpha, frame.products @ res.alpha)
+        hist.push_step(res.step, res.a_step)
         x, r, f = res.x, res.residual, res.f
         k += 1
     return x, rec.finish()
@@ -187,7 +189,7 @@ def _run_smooth(obj, x0, cfg, direction, callback, aux_metric=None):
         if z is None:
             hist.push_step(step)
         else:  # D alpha and A D alpha, free of the cancellation in x and z
-            hist.push_step(frame.basis @ res.alpha, frame.products @ res.alpha)
+            hist.push_step(res.step, res.a_step)
         x, z = res.x, res.residual
         if z is not None:
             obj.seed_linear_map(x, z)

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sesopt import (CallableObjective, SesopConfig, make_expsquares,
-                    make_l1_ls, make_quadratic_ls, run_linear_cg, run_sesop,
-                    seeded_rng, snr_db, subspace_minimize)
+from sesopt import (CallableObjective, EmptySubspaceError, SesopConfig,
+                    build_frame, make_expsquares, make_l1_ls,
+                    make_quadratic_ls, run_linear_cg, run_sesop, seeded_rng,
+                    snr_db, subspace_minimize)
 from sesopt import sesop as sesop_module
 
 from conftest import assert_monotone
@@ -169,12 +172,15 @@ def test_smooth_sesop_stalls_once_the_iterate_stops_moving():
 
 def _record_frame_solves(monkeypatch):
     """List that collects (objective, frame, result) of every frame solve
-    run_sesop makes."""
+    run_sesop makes. A frame's basis and products are views into the
+    history store, valid until its next push, so the list keeps copies."""
     solves = []
 
     def recorded(obj, frame, *args, **kwargs):
         res = subspace_minimize(obj, frame, *args, **kwargs)
-        solves.append((obj, frame, res))
+        products = None if frame.products is None else frame.products.copy()
+        solves.append((obj, dataclasses.replace(
+            frame, basis=frame.basis.copy(), products=products), res))
         return res
 
     monkeypatch.setattr(sesop_module, "subspace_minimize", recorded)
@@ -233,3 +239,24 @@ def test_composite_history_product_error_stays_bounded(monkeypatch):
                / np.linalg.norm(exact, axis=0))
         worst = max(worst, float(err.max()))
     assert worst <= 1e-8, f"worst relative product error {worst:.2e}"
+
+
+@pytest.mark.parametrize("direction", ["pcd", "ssf", "gradient"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_composite_run_from_a_non_finite_start_ends_at_iteration_zero(
+        monkeypatch, direction, bad):
+    # every first column is non-finite; the store rejects it on its norm,
+    # so the first frame is empty and the run raises before any step
+    frames = []
+
+    def counted(*args, **kwargs):
+        frames.append(None)
+        return build_frame(*args, **kwargs)
+
+    monkeypatch.setattr(sesop_module, "build_frame", counted)
+    obj = make_l1_ls(40, 60, seed=2)
+    x0 = np.zeros(60)
+    x0[7] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(EmptySubspaceError):
+        run_sesop(obj, x0, SesopConfig(direction=direction))
+    assert len(frames) == 1

@@ -1,3 +1,7 @@
+import dataclasses
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,8 @@ from sesopt import (CallableObjective, DenseOperator, EmptySubspaceError,
                     HistoryBuffer, LineSearchError, build_frame,
                     line_search_backtracking, make_expsquares,
                     make_svm_smooth, seeded_rng, subspace_minimize)
+
+from sesopt.subspace import _newton_step
 
 from conftest import small_l1, small_quadratic
 
@@ -108,7 +114,188 @@ def test_mixed_cached_and_fresh_products_keep_value_order_and_layout(rng):
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
+def _normalized(vec, avec=None):
+    vec = np.asarray(vec, dtype=np.float64)
+    nrm = math.sqrt(vec.dot(vec))
+    if not (nrm > 0.0 and math.isfinite(nrm)):
+        return None, None
+    return vec / nrm, None if avec is None else np.asarray(avec, dtype=np.float64) / nrm
+
+
+def _stacked_frame(base, columns, pushed, max_len, op=None, drop_tol=1e-10):
+    """(basis, products, tags, dropped) from stacking every submission and
+    the newest ``max_len`` pushes, each normalized, and the full Gram of
+    the stack: the frame without a store. A push whose product is not
+    finite is dropped, as the store drops it."""
+    subs = [(*_normalized(vec, avec), tag) for vec, tag, avec in columns]
+    for i, (step, a_step) in enumerate(reversed(pushed[-max_len:])):
+        u, au = _normalized(step, a_step)
+        if au is not None and not math.isfinite(au.dot(au)):
+            u = au = None
+        subs.append((u, au, f"step-{i + 1}"))
+    usable = [i for i, sub in enumerate(subs) if sub[0] is not None]
+    if not usable:
+        raise EmptySubspaceError("empty subspace")
+    unit = np.array([subs[i][0] for i in usable])
+    k, n = unit.shape
+    sel = None
+    if k <= n:
+        gram = unit @ unit.T
+        gram.ravel()[::k + 1] -= drop_tol ** 2 + 8 * (n + k * k) * np.finfo(float).eps
+        try:
+            np.linalg.cholesky(gram)
+            sel = list(range(k))
+        except np.linalg.LinAlgError:
+            pass
+    if sel is None:  # modified Gram-Schmidt on the rows
+        rest, sel = unit.copy(), []
+        for j in range(k):
+            wn = float(np.linalg.norm(rest[j]))
+            if wn > drop_tol:
+                sel.append(j)
+                q = rest[j] / wn
+                rest[j + 1:] -= np.outer(rest[j + 1:] @ q, q)
+    if not sel:
+        raise EmptySubspaceError("empty subspace")
+    kept = [usable[j] for j in sel]
+    unit = unit[sel]
+    products = None
+    if op is not None:
+        rows = [subs[i][1] for i in kept]
+        fresh = [j for j, au in enumerate(rows) if au is None]
+        if fresh:
+            for j, au in zip(fresh, op.apply(unit[fresh].T).T):
+                rows[j] = au
+        products = np.array(rows).T
+    return (unit.T, products, [subs[i][2] for i in kept],
+            [sub[2] for i, sub in enumerate(subs) if i not in kept])
+
+
+@pytest.mark.parametrize("n", [30, 6])
+@pytest.mark.parametrize("max_len", [1, 7])
+@pytest.mark.parametrize("orth", [False, True])
+@pytest.mark.parametrize("with_products", [True, False])
+def test_store_frames_are_bitwise_those_of_stacking(n, max_len, orth,
+                                                    with_products):
+    # pushes past max_len, zero, non-finite and duplicate steps, fresh
+    # columns that duplicate a history step, one or three fresh columns
+    # (gradient + orth, whose total step is zero at k = 0); with n = 6 the
+    # frames outgrow the space and every one goes through Gram-Schmidt
+    rng = seeded_rng(300 + n + max_len)
+    a = rng.standard_normal((n + 5, n))
+    op = DenseOperator(a) if with_products else None
+    hist = HistoryBuffer(max_len)
+    pushed, total = [], np.zeros(n)
+    drops = 0
+    for k in range(30):
+        g = rng.standard_normal(n)
+        last = pushed[-1][0] if pushed else np.zeros(n)
+        if k % 5 == 4 and last.any() and np.isfinite(last).all():
+            g = -2.0 * last
+        cols = [(g, "gradient", None)]
+        if orth:
+            cols += [(rng.standard_normal(n), "orth_wgrad", None),
+                     (total, "orth_tstep", a @ total if with_products else None)]
+        x = rng.standard_normal(n)
+        frame = build_frame(x, cols, hist, max_len, op=op,
+                            with_products=with_products)
+        basis, products, tags, dropped = _stacked_frame(x, cols, pushed, max_len, op)
+        np.testing.assert_array_equal(frame.basis, basis)
+        assert frame.tags == tags and frame.dropped == dropped
+        if with_products:
+            np.testing.assert_array_equal(frame.products, products)
+        drops += len(dropped)
+
+        step = rng.standard_normal(n)
+        if k % 7 == 1:  # follows a random step
+            step = 3.0 * pushed[-1][0]
+        elif k % 7 == 3:
+            step = np.zeros(n)
+        elif k % 7 == 5:
+            step[k % n] = np.nan if k % 2 else np.inf
+        a_step = a @ step if with_products else None
+        if with_products and k == 10:  # finite step, non-finite product
+            a_step[0] = np.inf
+        hist.push_step(step, a_step)
+        pushed.append((step, a_step))
+        if np.isfinite(step).all():
+            total = total + step
+    assert len(hist) == max_len
+    assert drops >= 10
+
+
+def test_non_finite_pushes_never_reach_the_gram():
+    # the store rejects them on their norm before any inner product, so the
+    # Cholesky certification never sees a NaN
+    rng = seeded_rng(310)
+    a = rng.standard_normal((12, 10))
+    op = DenseOperator(a)
+    hist = HistoryBuffer(4)
+    good = rng.standard_normal(10)
+    nan_step = rng.standard_normal(10)
+    nan_step[2] = np.nan
+    inf_step = rng.standard_normal(10)
+    inf_step[5] = -np.inf
+    bad_product = a @ good
+    bad_product[1] = np.nan
+    for step, a_step in ((good, a @ good), (nan_step, a @ nan_step),
+                         (inf_step, a @ inf_step), (2.0 * good + 1.0, bad_product)):
+        hist.push_step(step, a_step)
+    frame = build_frame(np.zeros(10), [(rng.standard_normal(10), "d", None)],
+                        hist, 4, op=op, with_products=True)
+    assert frame.tags == ["d", "step-4"]
+    assert frame.dropped == ["step-1", "step-2", "step-3"]
+    assert np.isfinite(frame.basis).all() and np.isfinite(frame.products).all()
+    assert np.isfinite(hist._units).all() and np.isfinite(hist._gram).all()
+
+
+def test_kept_solve_buffers_give_a_fresh_call_s_result():
+    # one store's frames shrink and grow past the buffers it sized first;
+    # each solve in the kept buffers is bitwise a solve in new ones
+    obj, _ = small_l1(mu=0.05)
+    rng = seeded_rng(320)
+    hist = HistoryBuffer(3)
+    for ncols, npush in ((3, 0), (1, 3), (2, 1), (1, 0), (6, 2)):
+        for _ in range(npush):
+            step = rng.standard_normal(obj.dim)
+            hist.push_step(step, obj.op.matrix @ step)
+        x0 = rng.standard_normal(obj.dim)
+        r0 = obj.residual(x0)
+        cols = [(rng.standard_normal(obj.dim), f"d{i}", None) for i in range(ncols)]
+        frame = build_frame(x0, cols, hist, 3, op=obj.op, with_products=True)
+        kept = subspace_minimize(obj, frame, residual=r0,
+                                 f_base=obj.value_from_residual(r0, x0))
+        fresh = subspace_minimize(obj, dataclasses.replace(frame, store=None),
+                                  residual=r0)
+        assert frame.store._solve_buffers.rows >= frame.size
+        for name in ("alpha", "x", "residual", "step", "a_step"):
+            np.testing.assert_array_equal(getattr(kept, name), getattr(fresh, name))
+        assert (kept.f, kept.inner_iters, kept.events) == (
+            fresh.f, fresh.inner_iters, fresh.events)
+
+
 # -- reduced minimization -----------------------------------------------------
+
+def test_newton_step_is_bitwise_np_linalg_solve():
+    rng = seeded_rng(330)
+    for k in (1, 3, 8):
+        a = rng.standard_normal((k, k))
+        hess = a @ a.T + k * np.eye(k)
+        g = rng.standard_normal(k)
+        delta, slope = _newton_step(hess, g)
+        np.testing.assert_array_equal(delta, np.linalg.solve(hess, -g))
+        assert slope == float(g.dot(delta)) < 0.0
+    # a singular system, or a step that is no descent direction, falls back
+    # to -g, silently
+    g = np.array([1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for hess in (np.zeros((2, 2)), np.ones((2, 2)), -np.eye(2)):
+            delta, slope = _newton_step(hess, g)
+            np.testing.assert_array_equal(delta, -g)
+            assert slope == -5.0
+
+
 
 def test_two_column_solve_matches_dense_oracle():
     obj, a, _ = small_quadratic(n=12)
