@@ -241,17 +241,6 @@ class ExpSquaresObjective(LinearLossObjective):
         e = self._exp_term(x)
         return self.j2 * v + e * float(np.add.reduce(v))
 
-    def _hvp_block(self, x, v):
-        # exp(-sum x) once per block, and each column's sum as _hvp takes
-        # it, so every column is bitwise its hvp. No cache across calls:
-        # keying one on x's contents would cost an array_equal pass, as
-        # much as the sum it saves
-        e = self._exp_term(x)
-        sums = np.array([np.add.reduce(col) for col in v.T])
-        out = np.multiply(self.j2[:, None], v, out=np.empty_like(v))
-        out += e * sums
-        return out
-
 
 def expsquares_ground_truth(n, tol=1e-14):
     """Exact optimum of the exponents-and-squares objective.

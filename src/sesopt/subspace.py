@@ -99,6 +99,17 @@ class HistoryBuffer:
     def __len__(self):
         return len(self._slots)
 
+    def steps(self, k=None):
+        """Newest-first list of (unit step or None, its scaled product or
+        None), copies of the store's rows; at most k entries."""
+        out = []
+        for i, state in enumerate(self._slots[:k]):
+            row = self._head + i
+            out.append((None, None) if state is None else (
+                self._units[row].copy(),
+                self._products[row].copy() if state else None))
+        return out
+
     def _reserve(self, n, free, m=None):
         """Arrays for rows of length n (products of length m) with ``free``
         rows above the newest step."""
@@ -171,7 +182,12 @@ class HistoryBuffer:
 
 @dataclass
 class SubspaceFrame:
-    """Conditioned affine search frame x_k + span(basis)."""
+    """Conditioned affine search frame x_k + span(basis).
+
+    ``basis`` and ``products`` may be views of the rows of the history
+    store the frame was built on: the next ``push_step`` or ``build_frame``
+    on that store overwrites them. Copy them to keep a frame past that.
+    """
 
     base: np.ndarray
     basis: np.ndarray           # (n, m), unit-norm independent columns
@@ -240,7 +256,9 @@ def build_frame(base, columns, history=None, max_history=None, *, op=None,
     unless a history slot is empty the frame is contiguous rows: the
     Cholesky certification reads the store's Gram block, and a frame that
     keeps every column gets the store's rows as its basis and products.
-    Without ``history`` a store is made for this frame alone.
+    Those are views, valid until the next ``push_step`` or ``build_frame``
+    on ``history``, which overwrite the rows. Without ``history`` a store
+    is made for this frame alone.
 
     With ``with_products`` the returned frame carries A @ basis, reusing
     cached products where provided. The kept columns without one get

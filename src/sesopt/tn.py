@@ -328,7 +328,7 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, grad_tol=1e-8, f_tol=0.0,
         if op is None:
             hist.push_step(step)
         else:  # D alpha and A D alpha, free of the cancellation in x and r
-            hist.push_step(frame.basis @ res.alpha, frame.products @ res.alpha)
+            hist.push_step(res.step, res.a_step)
         prev_grad = g
         r, f = res.residual, res.f
         if is_comp:

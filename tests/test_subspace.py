@@ -224,6 +224,37 @@ def test_store_frames_are_bitwise_those_of_stacking(n, max_len, orth,
     assert drops >= 10
 
 
+def test_frames_are_views_valid_until_the_next_push():
+    # a frame that keeps every column hands out the store's rows: the next
+    # push and frame write over them, so a caller keeping one must copy it
+    rng = seeded_rng(311)
+    a = rng.standard_normal((8, 10))
+    op = DenseOperator(a)
+    hist = HistoryBuffer(3)
+    for _ in range(2):
+        step = rng.standard_normal(10)
+        hist.push_step(step, a @ step)
+    frame = build_frame(np.zeros(10), [(rng.standard_normal(10), "d", None)],
+                        hist, op=op, with_products=True)
+    assert frame.tags == ["d", "step-1", "step-2"]
+    assert np.shares_memory(frame.basis, hist._units)
+    assert np.shares_memory(frame.products, hist._products)
+    basis, products = frame.basis.copy(), frame.products.copy()
+    step = rng.standard_normal(10)
+    hist.push_step(step, a @ step)
+    build_frame(np.zeros(10), [(rng.standard_normal(10), "d", None)],
+                hist, op=op, with_products=True)
+    assert not np.array_equal(frame.basis, basis)
+    assert not np.array_equal(frame.products, products)
+    # steps() hands out copies of the rows, newest first
+    held = hist.steps()
+    assert len(held) == 3 and len(hist.steps(2)) == 2
+    np.testing.assert_array_equal(held[0][0], step / np.linalg.norm(step))
+    np.testing.assert_array_equal(held[1][0], basis[:, 1])
+    np.testing.assert_array_equal(held[2][1], products[:, 2])
+    assert not np.shares_memory(held[0][0], hist._units)
+
+
 def test_non_finite_pushes_never_reach_the_gram():
     # the store rejects them on their norm before any inner product, so the
     # Cholesky certification never sees a NaN
