@@ -30,9 +30,11 @@ def soft_threshold_vec(v, tau):
 
 def _soft_step(x, atr, inv, thr, out, work):
     """sign(u) * max(|u| - thr, 0) - x with u = x - atr * inv, written into
-    ``out`` with ``work`` as scratch (new arrays when None)."""
+    ``out`` with ``work`` as scratch; in new arrays, by the same operations,
+    when ``out`` is None."""
     if out is None:
-        out = np.empty_like(x)
+        u = x - atr * inv
+        return np.sign(u) * np.maximum(np.abs(u) - thr, 0.0) - x
     if work is None:
         work = np.empty_like(x)
     u = np.multiply(atr, inv, out=out)

@@ -42,6 +42,19 @@ def test_ssf_direction_formula():
     np.testing.assert_allclose(out, ref, rtol=0, atol=1e-15)
 
 
+def test_direction_buffers_give_the_new_array_result_bitwise():
+    x, atr, cn = _probe_arrays()
+    c, mu = 2.5, 1e-2
+    recip = pcd_reciprocals(cn)
+    out, work = np.full_like(x, np.nan), np.full_like(x, np.nan)
+    d = ssf_direction(x, atr, c, mu, out, work)
+    assert d is out
+    np.testing.assert_array_equal(d, ssf_direction(x, atr, c, mu))
+    d = pcd_direction(x, atr, recip, mu, out, work)
+    assert d is out
+    np.testing.assert_array_equal(d, pcd_direction(x, atr, recip, mu))
+
+
 def test_pcd_direction_formula_and_skips():
     x, atr, cn = _probe_arrays()
     mu = 1e-2
