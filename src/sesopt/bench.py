@@ -175,6 +175,7 @@ class ExperimentPlan:
     with_snr: bool = False
     trace_inner: bool = False
     plot_axes: tuple = ("iter", "matvecs")
+    extra_problems: tuple = ()         # more ProblemSpec config strings
 
     def serialized(self):
         text = (f"name={self.name};problem={self.problem};"
@@ -184,9 +185,8 @@ class ExperimentPlan:
                 f"max_cum_steps={self.max_cum_steps};"
                 f"max_matvecs={self.max_matvecs};"
                 f"summary_tol={self.summary_tol!r};tol_on_gap={int(self.tol_on_gap)}")
-        extra = getattr(self, "extra_problems", ())
-        if extra:
-            text += f";extra_problems={'|'.join(extra)}"
+        if self.extra_problems:
+            text += f";extra_problems={'|'.join(self.extra_problems)}"
         return text
 
 
@@ -238,10 +238,10 @@ EXPERIMENTS = {
         problem="kind=quadratic_ls,n=120,seed=1",
         solvers=("sesop:direction=gradient,orth=1,history=7",),
         grad_tol=0.0, max_iters=200,
-        summary_tol=1e-8, plot_axes=("iter",)),
+        summary_tol=1e-8, plot_axes=("iter",),
+        # the 1/k^2 experiment also covers the smooth non-quadratic problem
+        extra_problems=("kind=expsquares,n=200,seed=1",)),
 }
-# the 1/k^2 experiment also covers the smooth non-quadratic problem
-EXPERIMENTS["bound_1k2"].extra_problems = ("kind=expsquares,n=200,seed=1",)
 
 
 def _slug(text):
@@ -396,7 +396,7 @@ def run_experiment(name, seeds=None, out_dir="results", max_matvecs=None,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    problem_cfgs = (plan.problem,) + tuple(getattr(plan, "extra_problems", ()))
+    problem_cfgs = (plan.problem,) + plan.extra_problems
     files, run_meta, rows = [], [], []
     for seed in seeds:
         for problem_cfg in problem_cfgs:

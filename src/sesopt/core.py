@@ -199,10 +199,11 @@ class LinearLossObjective(Objective):
     """f(x) = sum_i phi((A x)_i) + 1/2 sum_j q_j x_j^2.
 
     Subclasses set ``linear_map`` (A, a counted :class:`LinearOperator` on
-    the objective's own counters) and ``quad_diag`` (q), and implement the
-    elementwise loss phi and its first and second derivatives. With them
-    the subspace solve works on the cached products A @ D alone; the
-    full-space value/grad/hvp hooks stay the subclass's own.
+    the objective's own counters) and ``quad_diag`` (q >= 0), and
+    implement the elementwise loss phi and its first and second
+    derivatives. With them the subspace solve works on the cached products
+    A @ D alone; the full-space value/grad/hvp hooks stay the subclass's
+    own.
     """
 
     linear_map = None
@@ -213,7 +214,7 @@ class LinearLossObjective(Objective):
         return super().capabilities | {"linear_loss"}
 
     def loss(self, z):
-        """Elementwise phi at z = A x."""
+        """Elementwise phi at z = A x, or at a block of rows of such z."""
         raise NotImplementedError
 
     def loss_derivatives(self, z):

@@ -18,7 +18,7 @@ Four families, all seeded and deterministic:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class GroundTruth:
 
     f_opt: float | None = None
     x_opt: np.ndarray | None = None
-    method: str = "analytic"  # "analytic" or "oracle_solver"
 
 
 @dataclass
@@ -61,7 +60,6 @@ class ProblemSpec:
     c_penalty: float = 1.0
     margin: float = 1.0
     violation_frac: float = 0.0
-    extras: dict = field(default_factory=dict)
 
     _FIELDS = ("kind", "n", "seed", "m", "mu", "kappa", "noise",
                "c_penalty", "margin", "violation_frac")
@@ -141,7 +139,7 @@ def make_quadratic_ls(n, seed):
     b = a @ x_star
     obj = CompositeObjective(DenseOperator(a), b, mu=0.0)
     obj.ssf_constant  # estimate the majorizer at build time
-    obj.ground_truth = GroundTruth(f_opt=0.0, x_opt=x_star, method="analytic")
+    obj.ground_truth = GroundTruth(f_opt=0.0, x_opt=x_star)
     obj.x_signal = x_star
     obj.spec = ProblemSpec(kind="quadratic_ls", n=n, seed=seed, m=n, noise=0.0)
     obj.counters.reset()
@@ -212,7 +210,8 @@ class ExpSquaresObjective(LinearLossObjective):
         self.linear_map = _OnesRow(1, n, self.counters)
 
     def loss(self, z):
-        if z[0] < -700.0:
+        # z is A x, or a block of such rows
+        if z.min() < -700.0:
             raise OverflowError("exponent overflow")
         return np.exp(-z)
 
@@ -265,7 +264,7 @@ def expsquares_ground_truth(n, tol=1e-14):
     e = math.exp(-s)
     x_opt = e / j2
     f_opt = e + 0.5 * e * e * big_s
-    return GroundTruth(f_opt=f_opt, x_opt=x_opt, method="analytic")
+    return GroundTruth(f_opt=f_opt, x_opt=x_opt)
 
 
 def make_expsquares(n):

@@ -180,16 +180,14 @@ def _run_smooth(obj, x0, cfg, direction, callback, aux_metric=None):
         frame = build_frame(x, cols, hist, cfg.history, op=op,
                             with_products=op is not None)
         res = subspace_minimize(obj, frame, max_inner=FRAME_NEWTON_STEPS,
-                                residual=z)
+                                residual=z, f_base=f)
         rec.note(res.events)
-        step = res.x - x
-        if not np.any(res.alpha) or not step.any():
+        if not np.any(res.alpha) or not (res.x - x).any():
             # no step, or one lost below x's last digit
             return x, rec.finish("stalled")
-        if z is None:
-            hist.push_step(step)
-        else:  # D alpha and A D alpha, free of the cancellation in x and z
-            hist.push_step(res.step, res.a_step)
+        # the solve's step and its product (None without products): D alpha
+        # and A D alpha, free of the cancellation in x and z
+        hist.push_step(res.step, res.a_step)
         x, z = res.x, res.residual
         if z is not None:
             obj.seed_linear_map(x, z)

@@ -10,15 +10,14 @@ that also carries their Gram block; a frame's fresh columns go into the
 store's rows just above them, so a frame is usually a view of contiguous
 rows, certified from the carried inner products.
 
-For composite objectives the reduced problem reuses the cached A*d
-products, so the inner Newton loop performs zero new operator
-applications; the accepted step's product A*(D alpha) then comes free as a
-linear combination and can seed the history cache of the next iteration.
-The least-squares part is handled in the reduced coordinates, and each
-Newton step makes a fixed, small number of passes over the full space.
-Linear-loss objectives (sum phi(A x) + x^T Q x / 2) take the same route
-with no pass over the full space at all: their Newton steps need only
-A*D, A*x at the base and the k x k matrix D^T Q D.
+Composite (||A x - b||^2 + mu ||x||_1) and linear-loss (sum phi(A x) +
+x^T Q x / 2) objectives share one reduced solve on the cached products
+A*D, as a square of one affine image of the point plus an elementwise sum
+over another: its Newton loop applies no operator, values the square
+exactly along each direction and a batch of Armijo trial points per pass
+over the elementwise image, and its step's product A*(D alpha) comes free
+to seed the history cache. Other smooth objectives use value/grad/hvp at
+full-space points. One damped Newton loop drives both solves.
 """
 
 from __future__ import annotations
@@ -82,7 +81,7 @@ class HistoryBuffer:
     or one whose product is not finite, keeps its slot but no row, and
     frames drop it. The inner products of a step are taken once, at the
     first frame after its push, and those of fresh columns at their frame.
-    The store also keeps the composite frame solve's arrays for the run.
+    The store also keeps the frame solve's arrays for the run.
     """
 
     def __init__(self, max_len=7):
@@ -94,7 +93,7 @@ class HistoryBuffer:
         self._stale = 0      # newest steps whose inner products are not taken
         self._fresh = 0      # most fresh columns asked for at once
         self._units = self._products = self._gram = None
-        self._solve_buffers = None  # the composite frame solve's arrays
+        self._solve_buffers = None  # the cached-products frame solve's arrays
 
     def __len__(self):
         return len(self._slots)
@@ -340,12 +339,13 @@ class SubspaceResult:
     residual: np.ndarray | None
     inner_iters: int
     events: list
-    step: np.ndarray | None = None     # D alpha, so x = base + step
+    step: np.ndarray | None = None     # D alpha; x - base on the hvp path
     a_step: np.ndarray | None = None   # A D alpha, from the frame's products
 
 
 def _armijo_reduced(phi, alpha, delta, f0, slope, c1=1e-4, rho=0.5, max_bt=40):
-    """Backtrack t along delta in reduced coordinates; None if no decrease."""
+    """Backtrack t along delta in reduced coordinates; (alpha + t delta,
+    its value) for the first t that passes, or None."""
     t = 1.0
     for _ in range(max_bt + 1):
         cand = alpha + t * delta
@@ -353,7 +353,7 @@ def _armijo_reduced(phi, alpha, delta, f0, slope, c1=1e-4, rho=0.5, max_bt=40):
         if f_new <= f0 + c1 * t * slope:
             return cand, f_new
         t *= rho
-    return None, f0
+    return None
 
 
 def subspace_minimize(obj, frame, inner_tol=1e-10, max_inner=20,
@@ -361,138 +361,88 @@ def subspace_minimize(obj, frame, inner_tol=1e-10, max_inner=20,
     """Minimize the objective over the affine frame by damped Newton from
     its base point (alpha = 0).
 
-    Composite objectives take the cached-products path: the reduced
-    gradient and Hessian are built from A*D, the residual at the base and
-    the smoothed L1 curvature, so no operator is applied during the inner
-    loop. Linear-loss objectives do the same from A*D and z = A x at the
-    base. Both need ``frame.products``; ``residual`` is A x - b or A x at
-    the base (applied once when omitted) and the result carries it at the
-    new point. Other objectives use value/grad/hvp at full-space points.
-    The result carries D alpha as ``step`` and, with products, A D alpha
-    as ``a_step``.
+    Composite and linear-loss objectives take the cached-products path:
+    the reduced gradient and Hessian are built from the frame's products
+    A*D and the carried image of the base point, so no operator is
+    applied during the inner loop. That path needs ``frame.products``;
+    ``residual`` is A x - b (composite) or A x (linear loss) at the base,
+    applied once when omitted, and the result carries it at the new point.
+    Other objectives use value/grad/hvp at full-space points. The result
+    carries the step to push to the history: D alpha (x - base on the hvp
+    path) as ``step`` and, with products, A D alpha as ``a_step``.
 
-    The exact composite value is re-checked at the end and the step is
-    shrunk if smoothing ever made it an ascent step, so the returned f
-    never exceeds f at the base point: ``f_base``, which composite
-    objectives value from the residual when it is omitted and other
-    objectives do not read. If Newton stalls completely, a
-    backtracking search along the first frame column is attempted and the
-    event is recorded.
+    On the cached-products path the exact value is re-checked at the end
+    and the step is shrunk if smoothing or rounding ever made it an ascent
+    step, so the returned f never exceeds f at the base point: ``f_base``,
+    valued from the residual when it is omitted. Other objectives do not
+    read it. If Newton makes no step, a backtracking search along the
+    first frame column is attempted and the event is recorded.
     """
     events = []
-    if isinstance(obj, CompositeObjective):
-        return _minimize_composite(obj, frame, inner_tol, max_inner, residual,
-                                   f_base, events)
-    if "linear_loss" in obj.capabilities:
-        return _minimize_linear_loss(obj, frame, inner_tol, max_inner,
-                                     residual, events)
-
+    if isinstance(obj, CompositeObjective) or "linear_loss" in obj.capabilities:
+        return _minimize_cached(obj, frame, inner_tol, max_inner, residual,
+                                f_base, events)
     if "hvp" not in obj.capabilities:
         raise ValueError("subspace_minimize needs hvp for smooth objectives")
 
     # C order keeps the summation order, and so the traces, of smooth runs
     d = np.ascontiguousarray(frame.basis)
-    m = frame.size
     x0 = frame.base
+    alpha = np.zeros(frame.size)
 
     def phi(a):
         return obj.value(x0 + d @ a)
 
-    def phi_grad(a):
-        return d.T @ obj.grad(x0 + d @ a)
+    f_cur = phi(alpha)
 
-    def hessian(a):
-        xa = x0 + d @ a
-        return d.T @ obj.hvp(xa, d)
+    def search(delta, slope, max_bt=40):
+        nonlocal alpha, f_cur
+        found = _armijo_reduced(phi, alpha, delta, f_cur, slope, max_bt=max_bt)
+        if found is not None:
+            alpha, f_cur = found
+        return found is not None
 
-    alpha, f_cur, it = _damped_newton(
-        phi, phi_grad, hessian, m, inner_tol, max_inner, events)
-    step = d @ alpha
-    return SubspaceResult(alpha=alpha, x=x0 + step, f=f_cur, residual=None,
-                          inner_iters=it, events=events, step=step)
+    it = _newton(lambda: d.T @ obj.grad(x0 + d @ alpha),
+                 lambda: d.T @ obj.hvp(x0 + d @ alpha, d),
+                 search, inner_tol, max_inner, events)
+    x = x0 + d @ alpha
+    # the move made: the history keeps it, since D alpha can differ from it
+    # in x's last digits, and runs at that floor then never stall
+    return SubspaceResult(alpha=alpha, x=x, f=f_cur, residual=None,
+                          inner_iters=it, events=events, step=x - x0)
 
 
-def _damped_newton(phi, phi_grad, hessian, m, inner_tol, max_inner, events):
-    """Damped Newton on a smooth m-dimensional reduced objective from
-    alpha = 0; (alpha, f, iters).
+def _newton(gradient, hessian, search, inner_tol, max_inner, events):
+    """Damped Newton on a reduced objective from alpha = 0; the number of
+    steps made.
 
-    Never leaves the sublevel set of alpha = 0: a result above it is reset
-    to zero ("no_progress"), and a zero result is followed by the
-    first-column fallback.
+    ``gradient()`` and ``hessian()`` give the reduced gradient and Hessian
+    at the current point, and ``search(delta, slope, max_bt=40)`` moves to
+    the first Armijo point along delta from it, returning False without
+    moving when none passes. Nothing is taken after the last step. A solve
+    that makes no step tries an Armijo search along the first frame column.
     """
-    alpha = np.zeros(m)
-    f_cur = f_base = phi(alpha)
-    g = phi_grad(alpha)
+    g = gradient()
     g_norm = math.sqrt(g.dot(g))
     tol = inner_tol * (1.0 + g_norm)
     it = 0
     while it < max_inner and g_norm > tol:
-        delta, slope = _newton_step(hessian(alpha), g)
-        cand, f_new = _armijo_reduced(phi, alpha, delta, f_cur, slope)
-        if cand is None:
+        delta, slope = _newton_step(hessian(), g)
+        if not search(delta, slope):
             break
-        alpha, f_cur = cand, f_new
-        g = phi_grad(alpha)
-        g_norm = math.sqrt(g.dot(g))
         it += 1
-
-    if f_cur > f_base:  # smooth path: never leave the base sublevel set
-        alpha = np.zeros(m)
-        f_cur = f_base
-        events.append("no_progress")
-    if not np.any(alpha) and g_norm > tol:
-        cand, f_new, event = _first_column_fallback(
-            lambda delta, slope, max_bt: _armijo_reduced(
-                phi, alpha, delta, f_base, slope, max_bt=max_bt),
-            phi_grad(alpha))
-        if cand is not None:
-            alpha, f_cur = cand, f_new
-        events.append(event)
-    return alpha, f_cur, it
-
-
-def _minimize_linear_loss(obj, frame, inner_tol, max_inner, z0, events):
-    """Damped Newton over the frame of a linear-loss objective on cached
-    products only.
-
-    With f(x) = sum phi(A x) + x^T Q x / 2, P = A D and z = z0 + P alpha,
-    the reduced objective is sum phi(z) + q0 + c^T alpha + alpha^T G
-    alpha / 2, where G = D^T Q D, c = D^T Q x0 and q0 = x0^T Q x0 / 2, so
-    its gradient P^T phi'(z) + c + G alpha and Hessian P^T diag(phi''(z)) P
-    + G need no pass over the full space. The result carries z at the new
-    point as its residual, and its f is valued there from z and x.
-    """
-    if frame.products is None:
-        raise ValueError("linear-loss subspace minimization needs frame products")
-    d, p, x0 = frame.basis, frame.products, frame.base
-    q = obj.quad_diag
-    z0 = obj.linear_map.apply(x0) if z0 is None else np.asarray(z0, dtype=np.float64)
-    qd = q[:, None] * d
-    gram = d.T @ qd
-    c = x0 @ qd
-    q0 = 0.5 * float(x0 @ (q * x0))
-
-    def phi(a):
-        return (float(np.add.reduce(obj.loss(z0 + p @ a))) + q0 + float(c.dot(a))
-                + 0.5 * float(a.dot(gram @ a)))
-
-    def phi_grad(a):
-        d1, _ = obj.loss_derivatives(z0 + p @ a)
-        return d1 @ p + c + gram @ a
-
-    def hessian(a):
-        _, d2 = obj.loss_derivatives(z0 + p @ a)
-        return p.T @ (d2[:, None] * p) + gram
-
-    alpha, _, it = _damped_newton(
-        phi, phi_grad, hessian, frame.size, inner_tol, max_inner, events)
-    step, a_step = d @ alpha, p @ alpha
-    x_new = x0 + step
-    z_new = z0 + a_step
-    f_new = float(np.add.reduce(obj.loss(z_new))) + 0.5 * float(x_new @ (q * x_new))
-    return SubspaceResult(alpha=alpha, x=x_new, f=f_new, residual=z_new,
-                          inner_iters=it, events=events, step=step,
-                          a_step=a_step)
+        if it == max_inner:  # nothing reads the gradient after the last step
+            break
+        g = gradient()
+        g_norm = math.sqrt(g.dot(g))
+    if it == 0 and g_norm > tol:
+        sign = -1.0 if g[0] > 0 else 1.0
+        e0 = np.zeros(g.size)
+        e0[0] = sign
+        slope = float(g[0]) * sign
+        found = slope < 0.0 and search(e0, slope, 60)
+        events.append("fallback_first_column" if found else "no_progress")
+    return it
 
 
 def _newton_step(hess, g):
@@ -506,91 +456,140 @@ def _newton_step(hess, g):
     return -g, -float(g.dot(g))
 
 
-def _first_column_fallback(search, g0):
-    """Armijo search along the first frame column when Newton made no move.
-
-    ``g0`` is the reduced gradient at alpha = 0 and ``search(delta, slope,
-    max_bt)`` backtracks from there, returning (result, f) with result None
-    on failure. Returns (result, f, event); result and f are None when no
-    decrease was found.
-    """
-    slope = float(g0[0])
-    direction = -1.0 if slope > 0 else 1.0
-    slope = slope * direction
-    if slope < 0.0:
-        e0 = np.zeros(g0.size)
-        e0[0] = direction
-        cand, f_new = search(e0, slope, 60)
-        if cand is not None:
-            return cand, f_new, "fallback_first_column"
-    return None, None, "no_progress"
-
-
 _BATCH = 4  # Armijo trial points evaluated per pass over the full space
 _TRIALS = 0.5 ** np.arange(_BATCH)
 _FIRST_TRIALS = _TRIALS.tolist()
 _FIRST_COEF = np.stack((np.ones(_BATCH), _TRIALS), axis=1)  # rows (1, t)
 
 
-class _CompositeBuffers:
-    """Arrays of the composite frame solve for frames of up to ``rows``
-    columns of length n with products of length m; a history store keeps
-    them for the solves of its run."""
+class _SolveBuffers:
+    """Arrays of the cached-products frame solve for frames of up to
+    ``rows`` columns whose elementwise image has length ne and whose
+    squared image has length ns; a history store keeps them for the solves
+    of its run."""
 
-    def __init__(self, rows, n, m, l1):
-        self.key = (n, m, l1)
+    def __init__(self, rows, ne, ns):
+        self.key = (ne, ns)
         self.rows = rows
-        self.nx = nx = n if l1 else 0  # the L1 columns of the product
-        self.left = np.zeros((rows + 1, nx + m))
-        self.right = np.zeros((rows, nx + m))
-        self.u = np.zeros(m)  # P^T delta
-        # trial x, x^2 + eps^2 and s rows; the current x and D delta; w; ones
-        work = np.zeros((3 * _BATCH + 4, n))
+        self.ne = ne
+        self.left = _zeros(rows + 1, ne + ns)
+        self.right = _zeros(rows, ne + ns)
+        self.u = _zeros(ns)  # S^T delta
+        # trial e, e^2 + eps^2 and s rows; the current e and E^T delta; w; ones
+        work = _zeros(3 * _BATCH + 4, ne)
         work[-1] = 1.0
-        self.xt, self.s2t, self.st = work[:3 * _BATCH].reshape(3, _BATCH, n)
-        self.xy = work[-4:-2]
+        self.et, self.s2t, self.st = work[:3 * _BATCH].reshape(3, _BATCH, ne)
+        self.ey = work[-4:-2]
         self.w, self.ones = work[-2], work[-1]
         self._views = {}
 
     def views(self, k):
-        """(left, right^T, the 2 P block, the 2 r row, the P block, the mu D
-        block, the D * w block, the x / s row) for a frame of k columns."""
+        """(left, right^T, the 2c S block, the 2c s row, the S block, the
+        scale E block, the E * w block, the psi' row) for a frame of k
+        columns."""
         views = self._views.get(k)
         if views is None:
-            nx = self.nx
+            ne = self.ne
             left, right = self.left[:k + 1], self.right[:k]
             views = self._views[k] = (
-                left, right.T, left[:k, nx:], left[k, nx:], right[:, nx:],
-                right[:, :nx], left[:k, :nx], left[k, :nx])
+                left, right.T, left[:k, ne:], left[k, ne:], right[:, ne:],
+                right[:, :ne], left[:k, :ne], left[k, :ne])
         return views
 
 
-def _composite_buffers(store, k, n, m, l1):
+def _solve_buffers(store, k, ne, ns):
     """The store's buffers, made anew for the largest frame it has room for
     when they do not fit; new ones for a frame without a store."""
     if store is None:
-        return _CompositeBuffers(k, n, m, l1)
+        return _SolveBuffers(k, ne, ns)
     bufs = store._solve_buffers
-    if bufs is None or bufs.key != (n, m, l1) or bufs.rows < k:
-        bufs = store._solve_buffers = _CompositeBuffers(
-            max(k, store._fresh + store.max_len), n, m, l1)
+    if bufs is None or bufs.key != (ne, ns) or bufs.rows < k:
+        bufs = store._solve_buffers = _SolveBuffers(
+            max(k, store._fresh + store.max_len), ne, ns)
     return bufs
 
 
-def _minimize_composite(comp, frame, inner_tol, max_inner, residual, f_base,
-                        events):
+class _SmoothAbs:
+    """psi(e) = sum sqrt(e^2 + eps^2), the composite's smoothed L1 term
+    before its scale mu and offset n eps, on the solve buffers. Each
+    valued row keeps its e^2 + eps^2 and s = sqrt(e^2 + eps^2) for the
+    derivatives e / s and eps^2 / s^3."""
+
+    def __init__(self, bufs, comp):
+        eps = comp.smoothing_eps
+        self.bufs, self.e2 = bufs, eps * eps
+        self.scale, self.offset = comp.mu, bufs.ne * eps
+
+    def start(self):
+        """psi at the current point, its rows kept in trial row 0."""
+        bufs = self.bufs
+        e, s2, s = bufs.ey[0], bufs.s2t[0], bufs.st[0]
+        np.multiply(e, e, s2)
+        np.add(s2, self.e2, s2)
+        np.sqrt(s2, s)
+        return float(bufs.ones.dot(s))
+
+    def trials(self, nb):
+        """psi at the first nb trial rows, as a list."""
+        bufs = self.bufs
+        et, s2, s = bufs.et, bufs.s2t, bufs.st
+        if nb != _BATCH:
+            et, s2, s = et[:nb], s2[:nb], s[:nb]
+        np.multiply(et, et, s2)
+        np.add(s2, self.e2, s2)
+        np.sqrt(s2, s)
+        return s.dot(bufs.ones).tolist()
+
+    def derivatives(self, i, grad, weight):
+        """psi' and psi'' at the current point, valued in trial row i."""
+        s2, s = self.bufs.s2t[i], self.bufs.st[i]
+        np.divide(self.bufs.ey[0], s, grad)
+        np.multiply(s2, s, weight)
+        np.divide(self.e2, weight, weight)
+
+
+class _Loss:
+    """psi(e) = sum phi(e), a linear-loss objective's loss at e = A x, on
+    the solve buffers (scale 1 and offset 0, both exact)."""
+
+    scale, offset = 1.0, 0.0
+
+    def __init__(self, bufs, obj):
+        self.bufs, self.obj = bufs, obj
+
+    def start(self):
+        return float(np.add.reduce(self.obj.loss(self.bufs.ey[0])))
+
+    def trials(self, nb):
+        return np.add.reduce(self.obj.loss(self.bufs.et[:nb]), axis=1).tolist()
+
+    def derivatives(self, i, grad, weight):
+        grad[:], weight[:] = self.obj.loss_derivatives(self.bufs.ey[0])
+
+
+def _minimize_cached(obj, frame, inner_tol, max_inner, residual, f_base,
+                     events):
     """Damped Newton over the frame on cached products only.
 
-    With P = (AD)^T, r = r0 + P^T alpha and x = x0 + D alpha, one product
-    gives the whole Newton system: the rows (D * w, 2 P) and (x / s, 2 r)
-    times the rows (mu D, P) are the reduced Hessian 2 P P^T + mu D diag(w)
-    D^T and the reduced gradient 2 P r + mu D (x / s), where s = sqrt(x^2 +
-    eps^2) and w = eps^2 / s^3. Along delta the least-squares part is the
-    quadratic |r + t P^T delta|^2, so only the smoothed L1 term needs a pass
-    over x: one pass values up to _BATCH Armijo trial points x + t D delta,
-    t = 1, 1/2, 1/4, ..., accepted in that order as in a one-at-a-time
-    search, and the accepted one leaves x / s and w for the next system,
-    taken only when one is built.
+    The objective is c |s|^2 + scale (psi(e) - offset) for two affine
+    images of the point, s = s0 + S^T alpha and e = e0 + E^T alpha, and an
+    elementwise sum psi. With D the frame's basis and P = A D its products:
+
+    - composite ||A x - b||^2 + mu ||x||_1, smoothed: c = 1, s = A x - b
+      (S = P) and e = x (E = D), psi = sum sqrt(x^2 + eps^2), scale mu and
+      offset n eps; no psi when mu = 0;
+    - linear loss sum phi(A x) + x^T Q x / 2: c = 1/2, s = sqrt(q) x
+      (S = sqrt(q) D) and e = A x (E = P), psi = sum phi.
+
+    One product gives the whole Newton system: the rows (E * w, 2c S) and
+    (psi', 2c s) times the rows (scale E, S) are the reduced Hessian
+    2c S S^T + scale E diag(w) E^T and the reduced gradient 2c S s +
+    scale E psi', where w = psi''. Along delta the square term is the
+    quadratic c |s + t S^T delta|^2, so only psi needs a pass over e: one
+    pass values up to _BATCH Armijo trial points e + t E^T delta, t = 1,
+    1/2, 1/4, ..., accepted in that order as in a one-at-a-time search,
+    and the accepted one leaves what psi's derivatives need for the next
+    system, taken only when one is built.
 
     The loop is bound by the number of numpy calls rather than by flops at
     these sizes, so it works in the frame store's buffers, kept for the
@@ -598,66 +597,80 @@ def _minimize_composite(comp, frame, inner_tol, max_inner, residual, f_base,
     positional ``out`` arguments, and sums by dot products.
     """
     if frame.products is None:
-        raise ValueError("composite subspace minimization needs frame products")
-    add, mul, div = np.add, np.multiply, np.divide
+        raise ValueError("cached-products subspace minimization needs frame "
+                         "products")
+    add, mul = np.add, np.multiply
     x0 = frame.base
     b = np.ascontiguousarray(frame.basis.T)  # one row per column
     p = np.ascontiguousarray(frame.products.T)
-    k, n = b.shape
-    m = p.shape[1]
-    r0 = comp.residual(x0) if residual is None else np.asarray(residual, dtype=np.float64)
+    k = b.shape[0]
+    composite = isinstance(obj, CompositeObjective)
+    if residual is not None:
+        r0 = np.asarray(residual, dtype=np.float64)
+    else:
+        r0 = obj.residual(x0) if composite else obj.linear_map.apply(x0)
+    if composite:
+        value = obj.value_from_residual
+        c, s0, srows, e0, erows = 1.0, r0, p, x0, b
+        hook = _SmoothAbs if obj.mu != 0.0 else None
+    else:
+        q = obj.quad_diag
+        if not q.min() >= 0.0:
+            raise ValueError("the frame solve needs quad_diag >= 0")
+
+        def value(z, x):
+            return float(np.add.reduce(obj.loss(z))) + 0.5 * float(x @ (q * x))
+
+        sq = np.sqrt(q)
+        c, s0, srows, e0, erows = 0.5, sq * x0, b * sq, r0, p
+        hook = _Loss
     if f_base is None:
-        f_base = comp.value_from_residual(r0, x0)
-    mu, eps = comp.mu, comp.smoothing_eps
-    l1 = mu != 0.0
-    bufs = _composite_buffers(frame.store, k, n, m, l1)
-    left, right_t, lp, rho, rp, rd, lw, lq = bufs.views(k)
-    mul(p, 2.0, lp)
-    mul(r0, 2.0, rho)  # 2 r, moved along with the Armijo steps
-    rp[:] = p
-    fr = f = float(r0.dot(r0))
+        f_base = value(r0, x0)
+    bufs = _solve_buffers(frame.store, k, 0 if hook is None else e0.size,
+                          s0.size)
+    psi = None if hook is None else hook(bufs, obj)
+    left, right_t, ls, rho, rs, re, lw, lg = bufs.views(k)
+    c2 = 2.0 * c
+    mul(srows, c2, ls)
+    mul(s0, c2, rho)  # 2c s, moved along with the Armijo steps
+    rs[:] = srows
+    fr = f = c * float(s0.dot(s0))
     u = bufs.u
     steps = []  # accepted (t, delta)
-    accepted = None  # (x, x^2 + eps^2, s) rows of the point moved to
+    prod = None
+    moved = None  # the trial row moved to (-1: the start) until a system reads it
 
-    if l1:
-        e2, n_eps = eps * eps, n * eps
-        mul(b, mu, rd)
-        xt, s2t, st, xy, w, ones = (bufs.xt, bufs.s2t, bufs.st, bufs.xy,
-                                    bufs.w, bufs.ones)
-        x, y = xy  # the current x, then D delta
-        x[:] = x0
-        mul(x, x, s2t[0])
-        add(s2t[0], e2, s2t[0])
-        np.sqrt(s2t[0], st[0])
-        f += mu * (float(ones.dot(st[0])) - n_eps)
-        accepted = x, s2t[0], st[0]
+    if psi is not None:
+        scale, offset = psi.scale, psi.offset
+        mul(erows, scale, re)
+        et, ey, w = bufs.et, bufs.ey, bufs.w
+        e, y = ey  # the current e, then E^T delta
+        e[:] = e0
+        f += scale * (psi.start() - offset)
+        moved = -1
 
-    def newton_system():
-        """Reduced Hessian and gradient at the current point."""
-        nonlocal accepted
-        if l1:
-            if accepted is not None:
-                xi, s2i, si = accepted
-                if xi is not x:
-                    x[:] = xi
-                div(xi, si, lq)
-                mul(s2i, si, w)
-                div(e2, w, w)
-                accepted = None
-            mul(b, w, lw)
+    def gradient():
+        """The reduced gradient at the current point, its Hessian with it."""
+        nonlocal moved, prod
+        if psi is not None:
+            if moved is not None:
+                if moved >= 0:
+                    e[:] = et[moved]
+                psi.derivatives(max(moved, 0), lg, w)
+                moved = None
+            mul(erows, w, lw)
         prod = left.dot(right_t)
-        return prod[:k], prod[k]
+        return prod[k]
 
     def search(delta, slope, max_bt=40, c1=1e-4):
-        """Armijo backtracking along delta; moves and returns (t, f), or
-        (None, f) without moving when no trial point passes."""
-        nonlocal fr, f, accepted
-        delta.dot(p, u)
+        """Armijo backtracking along delta; moves and returns True, or
+        False without moving when no trial point passes."""
+        nonlocal fr, f, moved
+        delta.dot(srows, u)
         a1 = float(rho.dot(u))
-        a2 = float(u.dot(u))
-        if l1:
-            delta.dot(b, y)
+        a2 = c * float(u.dot(u))
+        if psi is not None:
+            delta.dot(erows, y)
         t0, left_bt = 1.0, max_bt + 1
         while left_bt > 0:
             nb = min(_BATCH, left_bt)
@@ -665,65 +678,48 @@ def _minimize_composite(comp, frame, inner_tol, max_inner, residual, f_base,
             if t0 != 1.0:
                 coef = _FIRST_COEF * [1.0, t0]
                 ts = coef[:, 1].tolist()
-            if l1:
+            if psi is not None:
                 if nb == _BATCH:
-                    xb, s2b, sb = xt, s2t, st
+                    eb = et
                 else:
-                    xb, s2b, sb, coef = xt[:nb], s2t[:nb], st[:nb], coef[:nb]
-                coef.dot(xy, xb)
-                mul(xb, xb, s2b)
-                add(s2b, e2, s2b)
-                np.sqrt(s2b, sb)
-                sums = sb.dot(ones).tolist()
+                    eb, coef = et[:nb], coef[:nb]
+                coef.dot(ey, eb)
+                sums = psi.trials(nb)
             for i in range(nb):
                 t = ts[i]
                 fr_t = fr + t * a1 + t * t * a2
-                f_new = fr_t + mu * (sums[i] - n_eps) if l1 else fr_t
+                f_new = fr_t + scale * (sums[i] - offset) if psi is not None else fr_t
                 if f_new <= f + c1 * t * slope:
-                    add(rho, (2.0 * t) * u, rho)
+                    add(rho, (c2 * t) * u, rho)
                     fr, f = fr_t, f_new
                     steps.append((t, delta))
-                    if l1:
-                        accepted = xt[i], s2t[i], st[i]
-                    return t, f_new
+                    moved = i  # read only with psi
+                    return True
             t0 *= 0.5 ** nb
             left_bt -= nb
-        return None, f
+        return False
 
-    hess, g = newton_system()
-    g_norm = math.sqrt(g.dot(g))
-    tol = inner_tol * (1.0 + g_norm)
-    it = 0
-    while it < max_inner and g_norm > tol:
-        delta, slope = _newton_step(hess, g)
-        if search(delta, slope)[0] is None:
-            break
-        it += 1
-        if it == max_inner:  # nothing reads the system after the last step
-            break
-        hess, g = newton_system()
-        g_norm = math.sqrt(g.dot(g))
-
-    if not steps and g_norm > tol:
-        events.append(_first_column_fallback(search, g)[2])
+    it = _newton(gradient, lambda: prod[:k], search, inner_tol, max_inner,
+                 events)
     alpha = np.zeros(k)
     if steps:
         ts, deltas = zip(*steps)
         alpha += np.dot(ts, deltas)
 
-    # smoothing safety: never let the exact composite value increase
+    # never let the exact value increase: the composite's L1 term is
+    # smoothed in the loop, and a linear loss is valued there incrementally
     shrink = 0
     while True:
         step, a_step = alpha.dot(b), alpha.dot(p)
         xa, ra = x0 + step, r0 + a_step
-        f_exact = comp.value_from_residual(ra, xa)
+        f_exact = value(ra, xa)
         if not (f_exact > f_base and shrink < 60):
             break
         alpha = 0.5 * alpha
         shrink += 1
     if f_exact > f_base:
         alpha = np.zeros(alpha.size)
-        step, a_step = np.zeros(n), np.zeros(m)
+        step, a_step = np.zeros(x0.size), np.zeros(r0.size)
         xa, ra = x0.copy(), r0.copy()
         f_exact = f_base
         events.append("no_progress")

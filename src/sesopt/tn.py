@@ -318,17 +318,15 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, grad_tol=1e-8, f_tol=0.0,
                             outer_history, op=op,
                             with_products=op is not None)
         res = subspace_minimize(obj, frame, max_inner=FRAME_NEWTON_STEPS,
-                                residual=r)
+                                residual=r, f_base=f)
         rec.note(res.events)
-        step = res.x - x
-        if not np.any(res.alpha) or not step.any():
+        if not np.any(res.alpha) or not (res.x - x).any():
             # no step, or one lost below x's last digit
             return x, rec.finish("stalled")
         cum += 1  # the subspace step advances like one more CG step
-        if op is None:
-            hist.push_step(step)
-        else:  # D alpha and A D alpha, free of the cancellation in x and r
-            hist.push_step(res.step, res.a_step)
+        # the solve's step and its product (None without products): D alpha
+        # and A D alpha, free of the cancellation in x and r
+        hist.push_step(res.step, res.a_step)
         prev_grad = g
         r, f = res.residual, res.f
         if is_comp:

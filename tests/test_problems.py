@@ -91,6 +91,11 @@ def test_expsquares_overflow_guard():
     p = make_expsquares(4)
     with pytest.raises(OverflowError):
         p.value(np.full(4, -300.0))
+    # the loss at a block of trial rows z = sum x: any row past the guard
+    np.testing.assert_allclose(p.loss(np.array([[0.0], [-1.0]])),
+                               [[1.0], [math.e]], rtol=1e-15)
+    with pytest.raises(OverflowError):
+        p.loss(np.array([[0.0], [-701.0]]))
 
 
 # -- svm ----------------------------------------------------------------------

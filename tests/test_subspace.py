@@ -280,29 +280,56 @@ def test_non_finite_pushes_never_reach_the_gram():
     assert np.isfinite(hist._units).all() and np.isfinite(hist._gram).all()
 
 
+def _solve_case(kind, mu=0.05):
+    """(objective, its operator A, A as an array, scale of random base
+    points) of a frame solve on cached products: an L1 least squares or a
+    linear loss."""
+    if kind == "l1":
+        obj, a = small_l1(mu=mu)
+        return obj, obj.op, a, 1.0
+    if kind == "svm":
+        obj = make_svm_smooth(60, 25, seed=5, violation_frac=0.1)
+        return obj, obj.linear_map, obj.x_rows, 0.3
+    obj = make_expsquares(30)
+    return obj, obj.linear_map, np.ones((1, obj.dim)), 0.1
+
+
+def _at_base(kind, obj, x0):
+    """(A x0 - b, f(x0)) of an L1 least squares, (A x0, f(x0)) of a linear
+    loss."""
+    if kind == "l1":
+        r0 = obj.residual(x0)
+        return r0, obj.value_from_residual(r0, x0)
+    return obj.linear_map.apply(x0), obj.value(x0)
+
+
 def test_kept_solve_buffers_give_a_fresh_call_s_result():
     # one store's frames shrink and grow past the buffers it sized first;
-    # each solve in the kept buffers is bitwise a solve in new ones
-    obj, _ = small_l1(mu=0.05)
-    rng = seeded_rng(320)
-    hist = HistoryBuffer(3)
-    for ncols, npush in ((3, 0), (1, 3), (2, 1), (1, 0), (6, 2)):
-        for _ in range(npush):
-            step = rng.standard_normal(obj.dim)
-            hist.push_step(step, obj.op.matrix @ step)
-        x0 = rng.standard_normal(obj.dim)
-        r0 = obj.residual(x0)
-        cols = [(rng.standard_normal(obj.dim), f"d{i}", None) for i in range(ncols)]
-        frame = build_frame(x0, cols, hist, 3, op=obj.op, with_products=True)
-        kept = subspace_minimize(obj, frame, residual=r0,
-                                 f_base=obj.value_from_residual(r0, x0))
-        fresh = subspace_minimize(obj, dataclasses.replace(frame, store=None),
-                                  residual=r0)
-        assert frame.store._solve_buffers.rows >= frame.size
-        for name in ("alpha", "x", "residual", "step", "a_step"):
-            np.testing.assert_array_equal(getattr(kept, name), getattr(fresh, name))
-        assert (kept.f, kept.inner_iters, kept.events) == (
-            fresh.f, fresh.inner_iters, fresh.events)
+    # each solve in the kept buffers is bitwise a solve in new ones, for
+    # the L1 least squares and for both linear losses
+    for kind in ("l1", "svm", "expsquares"):
+        obj, op, a, scale = _solve_case(kind)
+        rng = seeded_rng(320)
+        hist = HistoryBuffer(3)
+        for ncols, npush in ((3, 0), (1, 3), (2, 1), (1, 0), (6, 2)):
+            for _ in range(npush):
+                step = rng.standard_normal(obj.dim)
+                hist.push_step(step, a @ step)
+            x0 = scale * rng.standard_normal(obj.dim)
+            r0, f0 = _at_base(kind, obj, x0)
+            cols = [(rng.standard_normal(obj.dim), f"d{i}", None)
+                    for i in range(ncols)]
+            frame = build_frame(x0, cols, hist, 3, op=op, with_products=True)
+            kept = subspace_minimize(obj, frame, residual=r0,
+                                     f_base=f0 if kind == "l1" else None)
+            fresh = subspace_minimize(
+                obj, dataclasses.replace(frame, store=None), residual=r0)
+            assert frame.store._solve_buffers.rows >= frame.size
+            for name in ("alpha", "x", "residual", "step", "a_step"):
+                np.testing.assert_array_equal(getattr(kept, name),
+                                              getattr(fresh, name))
+            assert (kept.f, kept.inner_iters, kept.events) == (
+                fresh.f, fresh.inner_iters, fresh.events)
 
 
 # -- reduced minimization -----------------------------------------------------
@@ -374,17 +401,20 @@ def test_composite_inner_loop_applies_no_operators():
 
 
 def test_composite_exact_value_never_increases():
-    # large mu stresses the smoothing correction
-    obj, _ = small_l1(mu=0.5)
-    for seed in range(6):
-        x0 = seeded_rng(50 + seed).standard_normal(obj.dim)
-        r0 = obj.residual(x0)
-        atr = obj.op.adjoint(r0)
-        cols = [(-atr, "grad", None),
-                (seeded_rng(60 + seed).standard_normal(obj.dim), "noise", None)]
-        frame = build_frame(x0, cols, op=obj.op, with_products=True)
-        res = subspace_minimize(obj, frame, residual=r0)
-        assert res.f <= obj.value_from_residual(r0, x0) + 1e-12
+    # large mu stresses the smoothing correction; a linear loss is valued
+    # exactly along the line, but incrementally
+    for kind in ("l1", "svm", "expsquares"):
+        obj, op, _, scale = _solve_case(kind, mu=0.5)
+        for seed in range(6):
+            x0 = scale * seeded_rng(50 + seed).standard_normal(obj.dim)
+            r0, f0 = _at_base(kind, obj, x0)
+            grad = -obj.op.adjoint(r0) if kind == "l1" else -obj.grad(x0)
+            cols = [(grad, "grad", None),
+                    (seeded_rng(60 + seed).standard_normal(obj.dim), "noise",
+                     None)]
+            frame = build_frame(x0, cols, op=op, with_products=True)
+            res = subspace_minimize(obj, frame, residual=r0)
+            assert res.f <= f0 + 1e-12
 
 
 def test_composite_solve_is_stationary_for_the_smoothed_objective():
@@ -414,20 +444,21 @@ def test_composite_solve_is_stationary_for_the_smoothed_objective():
 def test_composite_first_column_fallback_when_newton_makes_no_move():
     # with no Newton step allowed the solve must fall back to an Armijo
     # search along the first column, still without operator applications
-    obj, _ = small_l1(mu=0.05)
-    x0 = seeded_rng(75).standard_normal(obj.dim)
-    r0 = obj.residual(x0)
-    cols = [(seeded_rng(76 + i).standard_normal(obj.dim), f"d{i}", None)
-            for i in range(3)]
-    frame = build_frame(x0, cols, op=obj.op, with_products=True)
-    before = obj.counters.matvecs
-    res = subspace_minimize(obj, frame, residual=r0, max_inner=0)
-    assert obj.counters.matvecs == before
-    assert res.events == ["fallback_first_column"]
-    assert res.alpha[0] != 0.0 and not np.any(res.alpha[1:])
-    assert res.f < obj.value_from_residual(r0, x0)
-    np.testing.assert_allclose(res.x, x0 + res.alpha[0] * frame.basis[:, 0],
-                               rtol=1e-12)
+    for kind in ("l1", "svm", "expsquares"):
+        obj, op, _, scale = _solve_case(kind)
+        x0 = scale * seeded_rng(75).standard_normal(obj.dim)
+        r0, f0 = _at_base(kind, obj, x0)
+        cols = [(seeded_rng(76 + i).standard_normal(obj.dim), f"d{i}", None)
+                for i in range(3)]
+        frame = build_frame(x0, cols, op=op, with_products=True)
+        before = obj.counters.matvecs
+        res = subspace_minimize(obj, frame, residual=r0, max_inner=0)
+        assert obj.counters.matvecs == before
+        assert res.events == ["fallback_first_column"]
+        assert res.alpha[0] != 0.0 and not np.any(res.alpha[1:])
+        assert res.f < f0
+        np.testing.assert_allclose(res.x, x0 + res.alpha[0] * frame.basis[:, 0],
+                                   rtol=1e-12)
 
 
 def _hvp_newton_oracle(obj, frame, tol=1e-14, max_iters=100):
@@ -506,12 +537,38 @@ def test_linear_loss_needs_products():
         subspace_minimize(obj, frame)
 
 
+def test_linear_loss_needs_a_nonnegative_quad_diag():
+    # the solve squares sqrt(q) x
+    obj = make_expsquares(5)
+    obj.quad_diag = obj.j2 * np.array([1.0, 1.0, -1.0, 1.0, 1.0])
+    frame = build_frame(np.zeros(5), [(np.ones(5), "d", None)],
+                        op=obj.linear_map, with_products=True)
+    with pytest.raises(ValueError, match="quad_diag"):
+        subspace_minimize(obj, frame)
+
+
 def test_smooth_path_requires_hvp():
     no_hvp = CallableObjective(4, value=lambda z: float(z @ z),
                                grad=lambda z: 2 * z)
     frame = build_frame(np.zeros(4), [(np.ones(4), "d", None)])
     with pytest.raises(ValueError, match="hvp"):
         subspace_minimize(no_hvp, frame)
+
+
+def test_smooth_path_takes_no_gradient_after_its_last_step():
+    # sum(z^4 / 4 + z^2 / 2) from far out: two damped Newton steps do not
+    # converge, and the solve takes a gradient before each of them only
+    quartic = CallableObjective(6, value=lambda z: float(np.sum(z**4 / 4 + z**2 / 2)),
+                                grad=lambda z: z**3 + z,
+                                hvp=lambda z, v: (3 * z**2 + 1) * v)
+    x0 = 10.0 * seeded_rng(47).standard_normal(6)
+    cols = [(seeded_rng(48 + i).standard_normal(6), f"d{i}", None)
+            for i in range(2)]
+    frame = build_frame(x0, cols)
+    res = subspace_minimize(quartic, frame, max_inner=2)
+    assert res.inner_iters == 2 and res.events == []
+    assert quartic.counters.gevals == 2 and quartic.counters.hvps == 4
+    assert res.f < quartic.value(x0)
 
 
 def test_smooth_path_minimizes_over_frame():
