@@ -2,8 +2,9 @@
 
 Everything a solver touches goes through this module. Objectives expose
 value/grad/hvp behind evaluation counters, a block hvp counting one per
-column; linear operators count every apply/adjoint on a shared matvec
-counter, which is the primary cost axis of the benchmarks. ``LinearLossObjective`` marks objectives of
+column, and a line evaluator phi(t) = f(x + t d); linear operators
+count every apply/adjoint on a shared matvec counter, which is the
+primary cost axis of the benchmarks. ``LinearLossObjective`` marks objectives of
 the form sum_i phi((A x)_i) + 1/2 sum_j q_j x_j^2, whose subspace solve
 runs on cached products. ``CompositeObjective`` is the least-squares
 plus L1 objective
@@ -127,6 +128,16 @@ class Objective:
         self.counters.fevals += 1
         self.counters.gevals += 1
         return self._value_and_grad(x)
+
+    def line(self, x, d):
+        """phi(t) = f(x + t d), counted one feval per call as ``value``.
+
+        Here phi(t) is ``value(x + t * d)``; an objective that can value
+        points of a line more cheaply than points at large overrides this.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        d = np.asarray(d, dtype=np.float64)
+        return lambda t: self.value(x + t * d)
 
     def hvp(self, x, v):
         """H(x) v; an (n, k) block of columns gives the (n, k) block of

@@ -292,14 +292,18 @@ class SvmSquaredHinge(LinearLossObjective):
     of X that the instance keeps. The gradient w - 2C coef^T X_act is one
     pass over the active rows; an hvp, of one column or a block, is one
     more, over row blocks of ``core._BLOCK_BYTES`` that meet both of their
-    products while in cache. A truncated Newton step values, differentiates and takes all
-    its Hessian products at one point, so they share one pass over X for
-    the margins and one set of active rows. Margins computed here are
-    bitwise those of recomputing. A solver that carries z = X w may seed
-    the cache with y * z through :meth:`seed_linear_map`; at that point
-    results follow the carried z, which can differ from X w in the last
-    bits, until another point is asked for. The cache makes an instance
-    unsafe to share between threads.
+    products while in cache. A truncated Newton step differentiates and
+    takes all its Hessian products at one point, so they share one pass
+    over X for the margins and one set of active rows. A line
+    phi(t) = f(w + t d) (:meth:`line`) makes one pass, for y * (X d), and
+    values every trial point from the margins m at w as m + t y * (X d),
+    caching each trial point with them; the point a line search accepts
+    is then differentiated without another pass. A solver that carries
+    z = X w may seed the cache with y * z through :meth:`seed_linear_map`.
+    Margins that come from a line or a seed follow it, and can differ from
+    y * (X w) in the last bits; margins computed at a point not cached are
+    bitwise those of recomputing. The cache makes an instance unsafe to
+    share between threads.
     """
 
     def __init__(self, x_rows, y, c_penalty):
@@ -332,17 +336,43 @@ class SvmSquaredHinge(LinearLossObjective):
         if self._at is None or not np.array_equal(w, self._at):
             # a new point: drop the old entry, rows and coefficients too
             self._at = self._margins = self._active_rows = self._coef = None
-            self._keep(w, self.y * (self.x_rows @ w))
+            self._keep(w, self.y * self._x_dot(w))
         return self._margins
+
+    def _x_dot(self, v):
+        """X v: a pass over X for the margins of a point or of a line."""
+        return self.x_rows @ v
+
+    def line(self, w, d):
+        """phi(t) = f(w + t d) from the margins at w and one pass for X d.
+
+        Each trial point w + t d is cached with its margins, so the caller's
+        ``w + t * d`` at an accepted t is differentiated without a pass
+        over X.
+        """
+        w = np.asarray(w, dtype=np.float64)
+        d = np.asarray(d, dtype=np.float64)
+        base = self.margins(w)
+        rate = self.y * self._x_dot(d)
+        counters, c = self.counters, self.c_penalty
+
+        def phi(t):
+            counters.fevals += 1
+            wt, margins = w + t * d, base + t * rate
+            self._keep(wt, margins)
+            viol = np.maximum(0.0, 1.0 - margins)
+            return 0.5 * float(wt @ wt) + c * float(viol @ viol)
+        return phi
 
     def seed_linear_map(self, w, z):
         """Cache y * z as the margins of w, for z = X w carried by a solver."""
-        self._at = self._margins = self._active_rows = self._coef = None
         self._keep(w, self.y * np.asarray(z, dtype=np.float64))
 
     def _keep(self, w, margins):
+        """Cache margins as those of w, dropping the rows and coefficients."""
         margins.flags.writeable = False
         self._at, self._margins = np.array(w, dtype=np.float64), margins
+        self._active_rows = self._coef = None
 
     def _active(self, w):
         """(rows, coef): the active rows of X at w and y * (1 - margins) on

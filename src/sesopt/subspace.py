@@ -724,7 +724,7 @@ def _minimize_cached(obj, frame, inner_tol, max_inner, residual, f_base,
         f_exact = f_base
         events.append("no_progress")
     if shrink:
-        events.append("smoothing_shrink")
+        events.append("smoothing_shrink" if composite else "rounding_shrink")
 
     return SubspaceResult(alpha=alpha, x=xa, f=f_exact, residual=ra,
                           inner_iters=it, events=events, step=step,
@@ -735,24 +735,29 @@ def line_search_backtracking(obj, x, d, f_x=None, g_x=None, c1=1e-4, rho=0.5,
                              max_backtracks=60):
     """Armijo backtracking from t = 1.
 
-    Accepts the first t = rho^j with f(x + t d) <= f(x) + c1 t <g, d>.
-    Requires a descent direction; raises LineSearchError ("line search
-    failed") after ``max_backtracks`` shrinks.
+    Accepts the first t = rho^j with f(x + t d) <= f(x) + c1 t <g, d>,
+    valuing the trial points through ``obj.line(x, d)``. Raises
+    LineSearchError before any trial when <g, d> is not finite and
+    ValueError when it is not negative; raises LineSearchError ("line
+    search failed") after ``max_backtracks`` shrinks.
 
     Returns (t, f_new).
     """
     x = np.asarray(x, dtype=np.float64)
     d = np.asarray(d, dtype=np.float64)
-    if f_x is None:
-        f_x = obj.value(x)
     if g_x is None:
         g_x = obj.grad(x)
     slope = float(np.asarray(g_x) @ d)
+    if not math.isfinite(slope):
+        raise LineSearchError("line search needs a finite slope")
     if slope >= 0.0:
         raise ValueError("line search needs a descent direction")
+    if f_x is None:
+        f_x = obj.value(x)
+    phi = obj.line(x, d)
     t = 1.0
     for _ in range(max_backtracks + 1):
-        f_new = obj.value(x + t * d)
+        f_new = phi(t)
         if f_new <= f_x + c1 * t * slope:
             return t, f_new
         t *= rho

@@ -211,6 +211,13 @@ def run_tn_classic(obj, x0, l_max=10, grad_tol=1e-8, f_tol=0.0, max_iters=500,
     The cumulative-steps column counts inner CG steps only. The forcing
     tolerance tightens as min(1/2, sqrt(||g||/||g0||)), giving superlinear
     outer convergence once the gradient is small.
+
+    The Armijo search along the truncated step (along -g when that fails)
+    values its trial points through ``obj.line``. An objective that caches
+    its points, as the SVM does, then takes the gradient and the next
+    step's Hessian products at the accepted point from that cache: on the
+    SVM one outer iteration makes one pass over X for the line, besides
+    those of its active rows.
     """
     if "hvp" not in obj.capabilities:
         raise TypeError("truncated Newton needs Hessian-vector products")

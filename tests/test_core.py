@@ -80,6 +80,22 @@ def test_base_class_blocks_are_bitwise_per_column_calls():
                     and out.flags.f_contiguous == block.flags.f_contiguous), name
 
 
+def test_base_line_is_value_along_the_line():
+    l1, _ = small_l1()
+    objs = list(_hvp_objectives()) + [("composite", l1, np.ones(l1.dim))]
+    rng = seeded_rng(75)
+    for name, obj, x in objs:
+        if name == "svm":  # values its line from its margins; see test_problems
+            continue
+        d = rng.standard_normal(obj.dim)
+        phi = obj.line(x, d)
+        for t in (1.0, 0.5, -0.3, 0.0):
+            before = obj.counters.fevals
+            f_t = phi(t)
+            assert obj.counters.fevals == before + 1, name
+            assert f_t == obj.value(x + t * d), name
+
+
 def test_seeded_rng_deterministic():
     a = seeded_rng(42).standard_normal(1000)
     b = seeded_rng(42).standard_normal(1000)

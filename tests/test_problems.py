@@ -194,6 +194,9 @@ def test_svm_cache_drops_rows_and_coefficients_together():
     assert p._active_rows is not None and p._coef is not None
     p.seed_linear_map(w2, p.x_rows @ w2)  # a seed drops both, even here
     assert p._active_rows is None and p._coef is None
+    p.grad(w2)
+    p.line(w2, w1)(0.0)  # so does a line's trial point, even at w2
+    assert p._active_rows is None and p._coef is None
 
 
 def test_svm_cached_products_are_bitwise_the_uncached_ones():
@@ -237,6 +240,46 @@ def test_svm_cached_products_are_bitwise_the_uncached_ones():
     check(buf, ["grad", "hvp", "value"])
     with pytest.raises(ValueError):
         p.margins(buf)[0] = 0.0  # the cached margins are read-only
+
+
+def test_svm_line_values_agree_with_values_at_its_points():
+    p = make_svm_smooth(300, 600, seed=4, violation_frac=0.1)
+    fresh = make_svm_smooth(300, 600, seed=4, violation_frac=0.1)
+    _, w, _ = _svm_points(p, 16)
+    d = -p.grad(w)
+    phi = p.line(w, d)
+    actives = {int(np.sum(fresh.margins(w) < 1.0))}
+    for t in (1.0, 0.03, 1e-2, 1e-3, -0.5):
+        before = p.counters.fevals
+        f_t = phi(t)
+        assert p.counters.fevals == before + 1
+        f_ref = fresh.value(w + t * d)
+        assert abs(f_t - f_ref) <= 1e-12 * abs(f_ref), t
+        actives.add(int(np.sum(fresh.margins(w + t * d) < 1.0)))
+    assert len(actives) == 6  # each t moves rows across the margin
+
+
+def test_svm_line_makes_one_pass_and_serves_the_accepted_point():
+    p = make_svm_smooth(300, 600, seed=4, violation_frac=0.1)
+    x_rows, y, c = p.x_rows.copy(), p.y.copy(), p.c_penalty
+    _, _, w = _svm_points(p, 16)
+    d = -p.grad(w)  # the margins at w are cached from here
+    passes = []
+    x_dot = p._x_dot
+    p._x_dot = lambda v: (passes.append(1), x_dot(v))[1]
+    phi = p.line(w, d)
+    phi(1.0)
+    phi(0.5)
+    accepted = w + 0.5 * d
+    g = p.grad(accepted)
+    hv = p.hvp(accepted, d)
+    margins = p.margins(accepted)
+    np.testing.assert_array_equal(  # those of the line, from the cache
+        margins, y * (x_rows @ w) + 0.5 * (y * (x_rows @ d)))
+    np.testing.assert_array_equal(g, svm_grad(x_rows, y, c, margins, accepted))
+    np.testing.assert_array_equal(hv, svm_hvp(x_rows, y, c, margins, d))
+    assert _rel(margins, y * (x_rows @ accepted)) <= 1e-12
+    assert len(passes) == 1  # X d, for the whole line
 
 
 def test_svm_seeded_margins_serve_only_their_point():

@@ -5,10 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
-from sesopt import (CallableObjective, DenseOperator, EmptySubspaceError,
-                    HistoryBuffer, LineSearchError, build_frame,
-                    line_search_backtracking, make_expsquares,
-                    make_svm_smooth, seeded_rng, subspace_minimize)
+from sesopt import (CallableObjective, CompositeObjective, DenseOperator,
+                    EmptySubspaceError, HistoryBuffer, LineSearchError,
+                    build_frame, line_search_backtracking, make_expsquares,
+                    make_svm_smooth, run_nonlinear_cg, run_sesop_tn,
+                    run_steepest_descent, seeded_rng, subspace_minimize)
 
 from sesopt.subspace import _newton_step
 
@@ -612,3 +613,56 @@ def test_backtracking_validation_and_failure():
                              grad=lambda z: -np.ones(2))
     with pytest.raises(LineSearchError):
         line_search_backtracking(liar, np.zeros(2), np.ones(2))
+
+
+def test_backtracking_stops_before_any_trial_on_a_non_finite_slope():
+    svm = make_svm_smooth(40, 10, seed=3, violation_frac=0.1)
+    x, d = np.zeros(10), np.ones(10)
+    d[4] = np.nan
+    for f_x, g_x in ((None, None), (svm.value(x), svm.grad(x))):
+        svm.counters.reset()
+        with pytest.raises(LineSearchError, match="finite"):
+            line_search_backtracking(svm, x, d, f_x, g_x)
+        assert svm.counters.fevals == 0
+    # a gradient that is not finite: the gradient runners end as they did
+    nan_grad = CallableObjective(3, value=lambda z: float(z @ z),
+                                 grad=lambda z: np.full(3, np.nan))
+    for run in (run_steepest_descent, run_nonlinear_cg):
+        _, tr = run(nan_grad, np.ones(3))
+        assert tr.header["status"] == "line_search_failed"
+        assert nan_grad.counters.fevals == 1  # the start only
+
+
+def test_backtracking_values_its_trials_on_the_objective_line():
+    quad = CallableObjective(3, value=lambda z: float(z @ z),
+                             grad=lambda z: 2 * z)
+    lines = []
+    line = quad.line
+    quad.line = lambda x, d: (lines.append(1), line(x, d))[1]
+    x = np.array([1.0, -2.0, 0.5])
+    t, f_new = line_search_backtracking(quad, x, -3.0 * x, quad.value(x))
+    assert len(lines) == 1
+    assert t == 0.5 and f_new == quad.value(x - 1.5 * x)
+    assert quad.counters.fevals == 4  # f(x), two trials, the check above
+
+
+# -- exact-value shrink tallies -----------------------------------------------
+
+def test_exact_value_shrink_is_tallied_by_its_cause():
+    # the composite's loop values a smoothed L1 term: with a wide smoothing
+    # its step overshoots the exact value and is shrunk
+    rng = seeded_rng(3)
+    a, b = rng.standard_normal((20, 10)), rng.standard_normal(20)
+    comp = CompositeObjective(DenseOperator(a), b, mu=8.0, smoothing_eps=1.0)
+    x0 = np.zeros(10)
+    frame = build_frame(x0, [(2.0 * a.T @ b, "grad", None)], op=comp.op,
+                        with_products=True)
+    res = subspace_minimize(comp, frame)
+    assert res.events == ["smoothing_shrink"]
+    assert 0.0 < res.f < comp.value(x0)
+    # a linear loss is valued exactly up to rounding: at f's rounding floor
+    # the shrink fires, and is tallied as rounding
+    _, tr = run_sesop_tn(make_expsquares(200), np.zeros(200), l_max=1,
+                         grad_tol=1e-12, max_iters=3000)
+    assert tr.header["status"] == "stalled"
+    assert tr.header["events"].startswith("rounding_shrink:")

@@ -490,19 +490,21 @@ def _uncached_svm(svm):
     It keeps the linear-loss structure, so sesop_tn solves its frames on
     the same cached-products path as the SVM itself, and takes the carried
     X w that sesop_tn hands over: the margins at that point are y * z
-    until another point is asked for, and y * (X w) everywhere else. Its
+    until another point is asked for. Its line values w + t d with the
+    margins m + t y * (X d), m those of w, and holds each trial point's
+    margins alike. Everywhere else the margins are y * (X w). Its
     gradient sums over the active rows and its hvp answers a block in one
     pass, as the SVM's do.
     """
     x_rows, y, c = svm.x_rows.copy(), svm.y.copy(), svm.c_penalty
-    carried = []  # the (point, X w) handed over last
+    carried = []  # the (point, margins) handed over or valued last
 
     def seed_linear_map(w, z):
-        carried[:] = [(np.array(w), np.array(z))]
+        carried[:] = [(np.array(w), y * z)]
 
     def margins(w):
         if carried and np.array_equal(w, carried[0][0]):
-            return y * carried[0][1]
+            return carried[0][1]
         carried.clear()
         return y * (x_rows @ w)
 
@@ -512,6 +514,15 @@ def _uncached_svm(svm):
     def value(w):
         s = viol(w)
         return 0.5 * float(w @ w) + c * float(s @ s)
+
+    def line(w, d):
+        base, rate = margins(w), y * (x_rows @ d)
+
+        def phi(t):
+            twin.counters.fevals += 1
+            carried[:] = [(w + t * d, base + t * rate)]
+            return value(carried[0][0])
+        return phi
 
     def grad(w):
         return svm_grad(x_rows, y, c, margins(w), w)
@@ -532,6 +543,7 @@ def _uncached_svm(svm):
     twin.quad_diag = np.ones(svm.dim)
     twin.loss, twin.loss_derivatives = loss, loss_derivatives
     twin.seed_linear_map = seed_linear_map
+    twin.line = line
     twin._hvp_block = hvp
     return twin
 
@@ -550,6 +562,19 @@ def test_svm_traces_are_those_of_uncached_formulas():
         assert len(tr) == len(tr_u) > 10
         for col in ("f_value", "stat_norm", "hvps", "matvecs", "cum_steps"):
             np.testing.assert_array_equal(tr.column(col), tr_u.column(col))
+
+
+def test_tn_classic_makes_one_product_with_x_per_line_search():
+    svm = make_svm_smooth(150, 60, seed=8, violation_frac=0.1)
+    passes, searches = [], []
+    x_dot, line = svm._x_dot, svm.line
+    svm._x_dot = lambda v: (passes.append(1), x_dot(v))[1]
+    svm.line = lambda w, d: (searches.append(1), line(w, d))[1]
+    _, tr = run_tn_classic(svm, np.zeros(svm.dim), l_max=10, grad_tol=0.0,
+                           max_iters=12)
+    assert tr.final.iter == len(searches) == 12  # no -g fallback
+    assert len(passes) == 1 + len(searches)  # the margins at x0, then X d
+    assert tr.final.matvecs == 0 and tr.final.hvps > 3 * tr.final.iter
 
 
 def test_sesop_tn_carried_map_stays_at_x_w():
