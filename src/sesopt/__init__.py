@@ -14,11 +14,11 @@ from .core import (CallableObjective, CompositeObjective, Counters,
                    DenseOperator, LinearLossObjective, LinearOperator,
                    Objective, check_gradient, power_iteration_sq_norm,
                    seeded_rng, soft_threshold)
-from .directions import DirectionKind, OrthState, dir_orth_update
 from .problems import (ExpSquaresObjective, GroundTruth, ProblemSpec,
                        SvmSquaredHinge, expsquares_ground_truth, make_expsquares,
                        make_l1_ls, make_quadratic_ls, make_svm_smooth)
-from .sesop import SesopConfig, run_sesop
+from .sesop import (DirectionKind, OrthState, SesopConfig, dir_orth_update,
+                    run_sesop)
 from .subspace import (EmptySubspaceError, HistoryBuffer, LineSearchError,
                        SubspaceFrame, SubspaceResult, build_frame,
                        line_search_backtracking, subspace_minimize)

@@ -390,6 +390,14 @@ class CompositeObjective(Objective):
             v += self.mu * float(np.sum(smooth_abs(x, self.smoothing_eps)))
         return v
 
+    def smooth_grad(self, atr, x):
+        """Gradient of the smoothed view, 2 A^T r + mu * smooth_abs'(x),
+        from atr = A^T (A x - b); the exact gradient when mu == 0."""
+        g = 2.0 * atr
+        if self.mu != 0.0:
+            g = g + self.mu * smooth_abs_grad(x, self.smoothing_eps)
+        return g
+
     def smoothed(self):
         """Smooth view of the composite (shared counters and operator)."""
         if self._smoothed is None:
@@ -400,27 +408,21 @@ class CompositeObjective(Objective):
         r = self.op.apply(x) - self.b
         return self.value_from_residual(r, x)
 
-    def _grad(self, x):
+    # with mu == 0 the smoothed view is the exact objective, bit for bit
+    def _exact_smooth(self, what):
         if self.mu != 0.0:
             raise NotImplementedError(
-                "exact composite gradient undefined for mu > 0; use smoothed()"
-            )
-        return 2.0 * self.op.adjoint(self.op.apply(x) - self.b)
+                f"exact composite {what} undefined for mu > 0; use smoothed()")
+        return self.smoothed()
+
+    def _grad(self, x):
+        return self._exact_smooth("gradient")._grad(x)
 
     def _value_and_grad(self, x):
-        if self.mu != 0.0:
-            raise NotImplementedError(
-                "exact composite gradient undefined for mu > 0; use smoothed()"
-            )
-        r = self.op.apply(x) - self.b
-        return float(r @ r), 2.0 * self.op.adjoint(r)
+        return self._exact_smooth("gradient")._value_and_grad(x)
 
     def _hvp(self, x, v):
-        if self.mu != 0.0:
-            raise NotImplementedError(
-                "exact composite hvp undefined for mu > 0; use smoothed()"
-            )
-        return 2.0 * self.op.adjoint(self.op.apply(v))
+        return self._exact_smooth("hvp")._hvp(x, v)
 
 
 class SmoothedComposite(Objective):
@@ -436,22 +438,16 @@ class SmoothedComposite(Objective):
 
     def _value(self, x):
         p = self.parent
-        r = p.op.apply(x) - p.b
-        return p.smooth_value_from_residual(r, x)
+        return p.smooth_value_from_residual(p.residual(x), x)
 
     def _grad(self, x):
         p = self.parent
-        g = 2.0 * p.op.adjoint(p.op.apply(x) - p.b)
-        if p.mu != 0.0:
-            g = g + p.mu * smooth_abs_grad(x, p.smoothing_eps)
-        return g
+        return p.smooth_grad(p.op.adjoint(p.residual(x)), x)
 
     def _value_and_grad(self, x):
         p = self.parent
-        r = p.op.apply(x) - p.b
-        g = 2.0 * p.op.adjoint(r)
-        if p.mu != 0.0:
-            g = g + p.mu * smooth_abs_grad(x, p.smoothing_eps)
+        r = p.residual(x)
+        g = p.smooth_grad(p.op.adjoint(r), x)
         return p.smooth_value_from_residual(r, x), g
 
     def _hvp(self, x, v):

@@ -336,7 +336,7 @@ class SvmSquaredHinge(LinearLossObjective):
         if self._at is None or not np.array_equal(w, self._at):
             # a new point: drop the old entry, rows and coefficients too
             self._at = self._margins = self._active_rows = self._coef = None
-            self._keep(w, self.y * self._x_dot(w))
+            self._keep(np.array(w, dtype=np.float64), self.y * self._x_dot(w))
         return self._margins
 
     def _x_dot(self, v):
@@ -366,12 +366,14 @@ class SvmSquaredHinge(LinearLossObjective):
 
     def seed_linear_map(self, w, z):
         """Cache y * z as the margins of w, for z = X w carried by a solver."""
-        self._keep(w, self.y * np.asarray(z, dtype=np.float64))
+        self._keep(np.array(w, dtype=np.float64),
+                   self.y * np.asarray(z, dtype=np.float64))
 
     def _keep(self, w, margins):
-        """Cache margins as those of w, dropping the rows and coefficients."""
+        """Cache margins as those of w, dropping the rows and coefficients.
+        Both are held as given: w must be an array no caller can change."""
         margins.flags.writeable = False
-        self._at, self._margins = np.array(w, dtype=np.float64), margins
+        self._at, self._margins = w, margins
         self._active_rows = self._coef = None
 
     def _active(self, w):

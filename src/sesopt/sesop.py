@@ -1,40 +1,86 @@
 """Sequential subspace optimization driver.
 
-Each outer iteration assembles a small frame of directions (a chosen
-first direction, optionally the two growing-subspace columns, and up to M
-previous steps), minimizes the objective approximately over that affine
-frame and takes the result as the next iterate. SESOP needs only an
-approximate frame minimizer, so each frame solve stops after at most
-FRAME_NEWTON_STEPS damped Newton steps (earlier when the reduced gradient
-meets the solver's 1e-10 tolerance). On quadratics one Newton step is
-already the exact frame minimizer.
+Each outer iteration minimizes f over the affine frame x_k + span{first
+direction, optionally the two ORTH columns, up to M previous steps} by at
+most FRAME_NEWTON_STEPS damped Newton steps, and takes the result as the
+next iterate. SESOP needs only an approximate frame minimizer; on
+quadratics one Newton step is already exact.
 
-Composite least-squares objectives get the cheap path: the residual is
-maintained across iterations, one adjoint per iteration provides the
-gradient, the proximal step and the stationarity measure, and frame
-products A @ D are cached so the inner minimization applies no operators.
-With the plain gradient, coordinate-descent or surrogate first direction
-this costs exactly two operator applications per outer iteration.
+One loop serves every objective. A composite least-squares objective
+carries r = A x - b: one adjoint per iteration gives A^T r, and from it
+the stationarity measure (the surrogate step) and the PCD, SSF or
+gradient direction; the frame solve returns the exact f. Other
+objectives take f and the gradient from ``value_and_grad``, and a linear
+loss carries A x and hands it to the objective at each new iterate
+(``seed_linear_map``). Objectives with a linear map cache the frame
+products A @ D, so the frame solve applies no operators, and a composite
+iteration costs exactly two operator applications unless ORTH is on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from enum import Enum
 
 import numpy as np
 
 from .core import CompositeObjective
-from .directions import DirectionKind, OrthState, dir_orth_update
-from .kernels import (pcd_direction, pcd_reciprocals, smooth_abs_grad,
-                      ssf_direction)
+from .kernels import pcd_direction, pcd_reciprocals, ssf_direction
 from .subspace import HistoryBuffer, build_frame, subspace_minimize
 from .trace import Recorder
 
-__all__ = ["SesopConfig", "run_sesop"]
+__all__ = ["DirectionKind", "OrthState", "SesopConfig", "dir_orth_update",
+           "run_sesop"]
 
 # damped Newton steps per frame solve; one doubles the matvecs to target
 # on fig1, three gains nothing over two
 FRAME_NEWTON_STEPS = 2
+
+
+class DirectionKind(str, Enum):
+    GRADIENT = "gradient"
+    PCD = "pcd"
+    SSF = "ssf"
+
+
+@dataclass
+class OrthState:
+    """Running state for the two auxiliary ORTH directions.
+
+    Weights follow w_0 = 1, w_k = 1/2 + sqrt(1/4 + w_{k-1}^2), so the
+    weighted gradient sum emphasizes recent gradients; the second direction
+    is the total step x_k - x_0.
+    """
+
+    x0: np.ndarray
+    w: float = 0.0
+    k: int = 0
+    weighted_grad_sum: np.ndarray = field(default=None)
+
+    def __post_init__(self):
+        self.x0 = np.asarray(self.x0, dtype=np.float64).copy()
+
+
+def dir_orth_update(state, x_k, g_k):
+    """Advance the ORTH state with the iterate/gradient pair at step k.
+
+    Returns (weighted_grad_dir, total_step_dir): the unit-normalized
+    negative weighted gradient sum and x_k - x0. At k = 0 the total step is
+    the zero vector (the frame builder drops it).
+    """
+    g_k = np.asarray(g_k, dtype=np.float64)
+    if state.k == 0:
+        state.w = 1.0
+        state.weighted_grad_sum = state.w * g_k
+    else:
+        state.w = 0.5 + np.sqrt(0.25 + state.w * state.w)
+        state.weighted_grad_sum = state.weighted_grad_sum + state.w * g_k
+    state.k += 1
+
+    wsum = state.weighted_grad_sum
+    nrm = float(np.linalg.norm(wsum))
+    wdir = -wsum / nrm if nrm > 0 else np.zeros_like(wsum)
+    return wdir, np.asarray(x_k, dtype=np.float64) - state.x0
 
 
 @dataclass
@@ -84,114 +130,76 @@ def run_sesop(obj, x0, config=None, callback=None, aux_metric=None):
         raise ValueError(
             f"{cfg.direction!r} is not a valid direction; valid: "
             + ", ".join(sorted(d.value for d in DirectionKind))) from None
-    if isinstance(obj, CompositeObjective):
-        return _run_composite(obj, x0, cfg, direction, callback, aux_metric)
-    return _run_smooth(obj, x0, cfg, direction, callback, aux_metric)
-
-
-def _run_composite(comp, x0, cfg, direction, callback, aux_metric=None):
-    c = comp.ssf_constant  # force the lazy power iteration before reset
-    rec = Recorder(comp, _desc(cfg), stop_at=cfg.grad_tol, f_tol=cfg.f_tol,
-                   max_iters=cfg.max_iters, max_matvecs=cfg.max_matvecs,
-                   callback=callback, aux_metric=aux_metric)
-    op, mu, eps = comp.op, comp.mu, comp.smoothing_eps
+    lsq = isinstance(obj, CompositeObjective)
+    if lsq:
+        op = obj.op
+        c = obj.ssf_constant  # force the lazy power iteration before reset
+    elif direction != DirectionKind.GRADIENT:
+        raise TypeError(f"direction {direction.value!r} needs a composite objective")
+    else:
+        op = obj.linear_map if "linear_loss" in obj.capabilities else None
+    rec = Recorder(obj, _desc(cfg), f_tol=cfg.f_tol, max_iters=cfg.max_iters,
+                   max_matvecs=cfg.max_matvecs, callback=callback,
+                   aux_metric=aux_metric)
     if direction == DirectionKind.PCD:
         col_nsq = op.column_norms_sq()
         if col_nsq is None:
             raise ValueError("pcd needs per-column norms from the operator")
         pcd_recip = pcd_reciprocals(col_nsq)
 
+    # p carries A x - b (composite) or A x (linear loss) across iterations
     x = np.array(x0, dtype=np.float64)
-    r = comp.residual(x)
-    r_start = r.copy()
-    f = comp.value_from_residual(r, x)
+    if lsq:
+        p = obj.residual(x)
+        f = obj.value_from_residual(p, x)
+    else:
+        p = None if op is None else op.apply(x)
+    p_start = p
     orth = OrthState(x) if cfg.include_orth else None
     hist = HistoryBuffer(max(cfg.history, 1))
     ssf_out, pcd_out, work = np.empty((3, x.size))  # direction buffers
 
     k = 0
     while True:
-        atr = op.adjoint(r)
-        d_ssf = ssf_direction(x, atr, c, mu, ssf_out, work)
-        if rec.row(k, k, f, float(np.abs(d_ssf, out=work).max()), x):
+        if lsq:
+            atr = op.adjoint(p)
+            d_ssf = ssf_direction(x, atr, c, obj.mu, ssf_out, work)
+            stat = float(np.abs(d_ssf, out=work).max())
+        else:
+            if k and p is not None:  # the objective values the start itself
+                obj.seed_linear_map(x, p)
+            f, g = obj.value_and_grad(x)
+            stat = float(np.linalg.norm(g))
+        if k == 0:  # absolute on the composite, else relative to the start
+            rec.stop_at = cfg.grad_tol * (1.0 if lsq else 1.0 + stat)
+        if rec.row(k, k, f, stat, x):
             break
 
-        g_s = None  # smoothed gradient, for the columns that use it
-        if direction == DirectionKind.GRADIENT or orth is not None:
-            g_s = 2.0 * atr
-            if mu != 0.0:
-                g_s = g_s + mu * smooth_abs_grad(x, eps)
-        cols = []
+        if lsq and (direction == DirectionKind.GRADIENT or orth is not None):
+            g = obj.smooth_grad(atr, x)
         if direction == DirectionKind.PCD:
-            cols.append((pcd_direction(x, atr, pcd_recip, mu, pcd_out, work),
-                         "pcd", None))
+            cols = [(pcd_direction(x, atr, pcd_recip, obj.mu, pcd_out, work),
+                     "pcd", None)]
         elif direction == DirectionKind.SSF:
-            cols.append((d_ssf, "ssf", None))
+            cols = [(d_ssf, "ssf", None)]
         else:
-            cols.append((-g_s, "gradient", None))
-        if orth is not None:
-            wdir, tstep = dir_orth_update(orth, x, g_s)
-            cols.append((wdir, "orth_wgrad", None))
-            cols.append((tstep, "orth_tstep", r - r_start))
-
-        frame = build_frame(x, cols, hist, cfg.history, op=op,
-                            with_products=True)
-        res = subspace_minimize(comp, frame, max_inner=FRAME_NEWTON_STEPS,
-                                residual=r, f_base=f)
-        rec.note(res.events)
-        if not res.alpha.any() or not (res.x - x).any():
-            # no step, or one lost below x's last digit
-            return x, rec.finish("stalled")
-        # D alpha and A D alpha, free of the cancellation in x and r
-        hist.push_step(res.step, res.a_step)
-        x, r, f = res.x, res.residual, res.f
-        k += 1
-    return x, rec.finish()
-
-
-def _run_smooth(obj, x0, cfg, direction, callback, aux_metric=None):
-    if direction in (DirectionKind.PCD, DirectionKind.SSF):
-        raise TypeError(f"direction {direction.value!r} needs a composite objective")
-    rec = Recorder(obj, _desc(cfg), f_tol=cfg.f_tol, max_iters=cfg.max_iters,
-                   max_matvecs=cfg.max_matvecs, callback=callback,
-                   aux_metric=aux_metric)
-
-    # linear-loss objectives carry z = A x and cache the frame's products;
-    # each new iterate's z is handed to the objective, so one that caches
-    # A x takes the gradient there without another pass of A
-    op = obj.linear_map if "linear_loss" in obj.capabilities else None
-    x = np.array(x0, dtype=np.float64)
-    z = None if op is None else op.apply(x)
-    z_start = z
-    f, g = obj.value_and_grad(x)
-    gnorm = float(np.linalg.norm(g))
-    rec.stop_at = cfg.grad_tol * (1.0 + gnorm)
-    orth = OrthState(x) if cfg.include_orth else None
-    hist = HistoryBuffer(max(cfg.history, 1))
-
-    k = 0
-    while not rec.row(k, k, f, gnorm, x):
-        cols = [(-g, "gradient", None)]
+            cols = [(-g, "gradient", None)]
         if orth is not None:
             wdir, tstep = dir_orth_update(orth, x, g)
             cols.append((wdir, "orth_wgrad", None))
-            cols.append((tstep, "orth_tstep", None if z is None else z - z_start))
+            cols.append((tstep, "orth_tstep", None if p is None else p - p_start))
 
         frame = build_frame(x, cols, hist, cfg.history, op=op,
                             with_products=op is not None)
         res = subspace_minimize(obj, frame, max_inner=FRAME_NEWTON_STEPS,
-                                residual=z, f_base=f)
+                                residual=p, f_base=f)
         rec.note(res.events)
-        if not np.any(res.alpha) or not (res.x - x).any():
+        if not res.alpha.any() or not (res.x - x).any():
             # no step, or one lost below x's last digit
             return x, rec.finish("stalled")
         # the solve's step and its product (None without products): D alpha
-        # and A D alpha, free of the cancellation in x and z
+        # and A D alpha, free of the cancellation in x and p
         hist.push_step(res.step, res.a_step)
-        x, z = res.x, res.residual
-        if z is not None:
-            obj.seed_linear_map(x, z)
-        f, g = obj.value_and_grad(x)
-        gnorm = float(np.linalg.norm(g))
+        x, p, f = res.x, res.residual, res.f  # smooth objectives revalue f
         k += 1
     return x, rec.finish()

@@ -265,9 +265,12 @@ def build_frame(base, columns, history=None, max_history=None, *, op=None,
     counted one matvec per fresh column. Basis and products are transposes
     of one-row-per-column arrays.
 
-    Raises EmptySubspaceError when nothing survives.
+    Raises EmptySubspaceError when nothing survives, and ValueError for a
+    negative ``max_history``.
     """
     base = np.asarray(base, dtype=np.float64)
+    if max_history is not None and max_history < 0:
+        raise ValueError(f"max_history must be >= 0, got {max_history}")
     if with_products and op is None:
         raise ValueError("with_products requires an operator")
     store = HistoryBuffer(0) if history is None else history

@@ -298,7 +298,7 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, grad_tol=1e-8, f_tol=0.0,
     if is_comp:
         r = obj.residual(x)
         f = obj.value_from_residual(r, x)
-        g = 2.0 * op.adjoint(r)
+        g = obj.smooth_grad(op.adjoint(r), x)
     else:
         r = None if op is None else op.apply(x)
         f, g = obj.value_and_grad(x)
@@ -337,7 +337,7 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, grad_tol=1e-8, f_tol=0.0,
         prev_grad = g
         r, f = res.residual, res.f
         if is_comp:
-            g_new = 2.0 * op.adjoint(r)
+            g_new = obj.smooth_grad(op.adjoint(r), res.x)
         else:
             if op is not None:
                 obj.seed_linear_map(res.x, r)

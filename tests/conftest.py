@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sesopt import CompositeObjective, DenseOperator, seeded_rng
+from sesopt import (CallableObjective, CompositeObjective, DenseOperator,
+                    seeded_rng)
 from sesopt.core import _BLOCK_BYTES
 
 
@@ -45,6 +46,12 @@ def svm_hvp(x_rows, y, c, margins, v):
         block = xa[s:s + step]
         acc += block.T @ (block @ v)
     return v + 2.0 * c * acc
+
+
+def callable_twin(obj):
+    """The same objective behind plain callables: no products to cache."""
+    return CallableObjective(obj.dim, value=obj._value, grad=obj._grad,
+                             hvp=obj._hvp)
 
 
 def assert_monotone(values, slack=1e-12):

@@ -5,11 +5,11 @@ import pytest
 
 from sesopt import (CallableObjective, EmptySubspaceError, SesopConfig,
                     build_frame, make_expsquares, make_l1_ls,
-                    make_quadratic_ls, run_linear_cg, run_sesop, seeded_rng,
-                    snr_db, subspace_minimize)
+                    make_quadratic_ls, make_svm_smooth, run_linear_cg,
+                    run_sesop, seeded_rng, snr_db, subspace_minimize)
 from sesopt import sesop as sesop_module
 
-from conftest import assert_monotone
+from conftest import assert_monotone, callable_twin
 
 
 def _cg_on_normal_equations(obj, x0, iters):
@@ -154,6 +154,25 @@ def test_smooth_path_on_expsquares_gradient():
     gap = trace.final.f_value - obj.ground_truth.f_opt
     assert gap <= 1e-9
     assert_monotone(trace.column("f_value"))
+
+
+@pytest.mark.parametrize("orth", [False, True], ids=["plain", "orth"])
+@pytest.mark.parametrize("make", [
+    lambda: make_svm_smooth(150, 60, seed=8, violation_frac=0.1),
+    lambda: make_expsquares(50),
+], ids=["svm", "expsquares"])
+def test_linear_loss_cached_products_follow_the_hvp_path(make, orth):
+    # a linear loss carries A x and solves its frames on cached products;
+    # behind plain callables the same run takes the hvp path
+    obj = make()
+    cfg = SesopConfig(include_orth=orth, grad_tol=0.0, max_iters=15)
+    _, tr = run_sesop(obj, np.zeros(obj.dim), cfg)
+    _, tr_h = run_sesop(callable_twin(obj), np.zeros(obj.dim), cfg)
+    assert len(tr) == len(tr_h) == 16
+    assert tr.final.hvps == 0 < tr_h.final.hvps
+    assert tr_h.final.matvecs == 0 < tr.final.matvecs
+    np.testing.assert_allclose(tr.column("f_value"), tr_h.column("f_value"),
+                               rtol=1e-10, atol=0.0)
 
 
 def test_smooth_sesop_stalls_once_the_iterate_stops_moving():

@@ -9,7 +9,7 @@ from sesopt import (CallableObjective, DenseOperator, HistoryBuffer,
 from sesopt.bench import run_solver
 from sesopt.tn import frame_columns
 
-from conftest import assert_monotone, svm_grad, svm_hvp
+from conftest import assert_monotone, callable_twin, svm_grad, svm_hvp
 
 
 def _spd_model(n=18, seed=51, f0=3.0):
@@ -424,15 +424,9 @@ def test_sesop_tn_frames_drop_no_column(monkeypatch):
 
 # -- the linear-loss subspace path ----------------------------------------------
 
-def _callable_twin(obj):
-    """The same objective behind plain callables: no products to cache."""
-    return CallableObjective(obj.dim, value=obj._value, grad=obj._grad,
-                             hvp=obj._hvp)
-
-
 def test_sesop_tn_cached_products_follow_the_hvp_path_on_svm():
     svm = make_svm_smooth(150, 60, seed=8, violation_frac=0.1)
-    twin = _callable_twin(svm)
+    twin = callable_twin(svm)
     x0 = np.zeros(svm.dim)
     for l_max in (1, 10):
         _, tr = run_sesop_tn(svm, x0, l_max=l_max, grad_tol=0.0, max_iters=15)
