@@ -17,8 +17,7 @@ from .core import (CallableObjective, CompositeObjective, Counters,
 from .problems import (ExpSquaresObjective, GroundTruth, ProblemSpec,
                        SvmSquaredHinge, expsquares_ground_truth, make_expsquares,
                        make_l1_ls, make_quadratic_ls, make_svm_smooth)
-from .sesop import (DirectionKind, OrthState, SesopConfig, dir_orth_update,
-                    run_sesop)
+from .sesop import DirectionKind, OrthState, dir_orth_update, run_sesop
 from .subspace import (EmptySubspaceError, HistoryBuffer, LineSearchError,
                        SubspaceFrame, SubspaceResult, build_frame,
                        line_search_backtracking, subspace_minimize)
@@ -48,7 +47,7 @@ __all__ = [
     "SubspaceResult", "build_frame", "subspace_minimize",
     "line_search_backtracking", "EmptySubspaceError", "LineSearchError",
     # solvers
-    "SesopConfig", "run_sesop", "QuadraticModel",
+    "run_sesop", "QuadraticModel",
     "InnerCgState", "inner_cg", "run_tn_classic", "run_sesop_tn",
     "run_linear_cg", "run_ssf_iteration", "run_fista",
     "run_steepest_descent", "run_nonlinear_cg",

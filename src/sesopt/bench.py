@@ -24,7 +24,7 @@ from .baselines import (run_fista, run_linear_cg, run_nonlinear_cg,
                         run_ssf_iteration, run_steepest_descent)
 from .core import seeded_rng
 from .problems import ProblemSpec
-from .sesop import SesopConfig, run_sesop
+from .sesop import run_sesop
 from .tn import run_sesop_tn, run_tn_classic
 from .trace import emit_plot_data, snr_db, write_trace_csv
 
@@ -136,12 +136,12 @@ def run_solver(spec, obj, x0=None, max_iters=1000, grad_tol=1e-8,
             grad_tol=grad_tol, max_iters=max_iters, max_matvecs=max_matvecs,
             restart=bool(_as_int(opts, "restart", 0)), aux_metric=aux_metric)
     elif name == "sesop":
-        cfg = SesopConfig(
-            direction=opts.get("direction", "gradient"),
-            include_orth=bool(_as_int(opts, "orth", 0)),
-            history=_as_int(opts, "history", 7),
-            grad_tol=grad_tol, max_iters=max_iters, max_matvecs=max_matvecs)
-        x, trace = run_sesop(obj, x0, cfg, aux_metric=aux_metric)
+        x, trace = run_sesop(
+            obj, x0, direction=opts.get("direction", "gradient"),
+            orth=bool(_as_int(opts, "orth", 0)),
+            history=_as_int(opts, "history", 7), grad_tol=grad_tol,
+            max_iters=max_iters, max_matvecs=max_matvecs,
+            aux_metric=aux_metric)
     elif name == "tn":
         x, trace = run_tn_classic(
             obj, x0, l_max=_as_int(opts, "l_max", 10), grad_tol=grad_tol,

@@ -79,13 +79,8 @@ def soft_threshold(v, tau):
     """
     if np.any(np.asarray(tau) < 0):
         raise ValueError("threshold must be nonnegative")
-    if np.ndim(v) == 0:
-        v = float(v)
-        a = abs(v) - float(tau)
-        if a < 0.0:
-            a = 0.0
-        return math.copysign(a, v) if v != 0 else 0.0
-    return soft_threshold_vec(v, tau)
+    out = soft_threshold_vec(v, tau)
+    return out.item() if np.ndim(v) == np.ndim(tau) == 0 else out
 
 
 class Objective:

@@ -29,8 +29,7 @@ from .kernels import pcd_direction, pcd_reciprocals, ssf_direction
 from .subspace import HistoryBuffer, build_frame, subspace_minimize
 from .trace import Recorder
 
-__all__ = ["DirectionKind", "OrthState", "SesopConfig", "dir_orth_update",
-           "run_sesop"]
+__all__ = ["DirectionKind", "OrthState", "dir_orth_update", "run_sesop"]
 
 # damped Newton steps per frame solve; one doubles the matvecs to target
 # on fig1, three gains nothing over two
@@ -83,53 +82,38 @@ def dir_orth_update(state, x_k, g_k):
     return wdir, np.asarray(x_k, dtype=np.float64) - state.x0
 
 
-@dataclass
-class SesopConfig:
-    """Knobs for the subspace driver.
-
-    direction: first frame column ("gradient", "pcd" or "ssf").
-    include_orth: add the weighted-gradient and total-step columns, which
-        carry the accelerated worst-case rate.
-    history: number of previous steps kept in the frame.
-
-    Each frame is solved inexactly, by at most FRAME_NEWTON_STEPS damped
-    Newton steps.
-    """
-
-    direction: str = "gradient"
-    include_orth: bool = False
-    history: int = 7
-    grad_tol: float = 1e-8
-    f_tol: float = 0.0
-    max_iters: int = 1000
-    max_matvecs: int | None = 100_000
-
-
-def _desc(cfg):
-    return (f"name=sesop,direction={cfg.direction},orth={int(cfg.include_orth)},"
-            f"history={cfg.history}")
-
-
-def run_sesop(obj, x0, config=None, callback=None, aux_metric=None):
+def run_sesop(obj, x0, *, direction="gradient", orth=False, history=7,
+              grad_tol=1e-8, f_tol=0.0, max_iters=1000, max_matvecs=100_000,
+              callback=None, aux_metric=None):
     """Run the subspace solver; returns (x, trace).
+
+    ``direction`` is the first frame column ("gradient", "pcd" or "ssf");
+    ``orth`` adds the weighted-gradient and total-step columns, which
+    carry the accelerated worst-case rate; ``history`` is the number of
+    previous steps in each frame (ValueError when negative). Each frame
+    is solved inexactly, by at most FRAME_NEWTON_STEPS damped Newton
+    steps.
 
     Stops when the stationarity measure drops below grad_tol (composite:
     infinity norm of the surrogate step, absolute; smooth: gradient norm
     relative to the starting gradient), on relative f stagnation below
-    f_tol, or on the iteration / matvec budget. It ends "stalled" when a
-    frame step leaves x unchanged in floating point (alpha = 0, or a step
-    below the last digit of every x_j).
+    f_tol, or on the iteration / matvec budget (``max_matvecs=None`` sets
+    none). It ends "stalled" when a frame step leaves x unchanged in
+    floating point (alpha = 0, or a step below the last digit of every
+    x_j).
 
     ``aux_metric`` is an optional (name, fn) pair; fn(x) is evaluated at
     every recorded iterate and stored in the trace's aux column.
     """
-    cfg = config if config is not None else SesopConfig()
+    desc = (f"name=sesop,direction={direction},orth={int(orth)},"
+            f"history={history}")
     try:
-        direction = DirectionKind(cfg.direction)
+        direction = DirectionKind(direction)
     except ValueError:
         raise ValueError(
-            f"{cfg.direction!r} is not a valid direction; valid: "
+            f"{direction!r} is not a valid direction; valid: "
             + ", ".join(sorted(d.value for d in DirectionKind))) from None
+    hist = HistoryBuffer(history)
     lsq = isinstance(obj, CompositeObjective)
     if lsq:
         op = obj.op
@@ -138,8 +122,8 @@ def run_sesop(obj, x0, config=None, callback=None, aux_metric=None):
         raise TypeError(f"direction {direction.value!r} needs a composite objective")
     else:
         op = obj.linear_map if "linear_loss" in obj.capabilities else None
-    rec = Recorder(obj, _desc(cfg), f_tol=cfg.f_tol, max_iters=cfg.max_iters,
-                   max_matvecs=cfg.max_matvecs, callback=callback,
+    rec = Recorder(obj, desc, f_tol=f_tol, max_iters=max_iters,
+                   max_matvecs=max_matvecs, callback=callback,
                    aux_metric=aux_metric)
     if direction == DirectionKind.PCD:
         col_nsq = op.column_norms_sq()
@@ -155,8 +139,7 @@ def run_sesop(obj, x0, config=None, callback=None, aux_metric=None):
     else:
         p = None if op is None else op.apply(x)
     p_start = p
-    orth = OrthState(x) if cfg.include_orth else None
-    hist = HistoryBuffer(max(cfg.history, 1))
+    orth_state = OrthState(x) if orth else None
     ssf_out, pcd_out, work = np.empty((3, x.size))  # direction buffers
 
     k = 0
@@ -171,11 +154,11 @@ def run_sesop(obj, x0, config=None, callback=None, aux_metric=None):
             f, g = obj.value_and_grad(x)
             stat = float(np.linalg.norm(g))
         if k == 0:  # absolute on the composite, else relative to the start
-            rec.stop_at = cfg.grad_tol * (1.0 if lsq else 1.0 + stat)
+            rec.stop_at = grad_tol * (1.0 if lsq else 1.0 + stat)
         if rec.row(k, k, f, stat, x):
             break
 
-        if lsq and (direction == DirectionKind.GRADIENT or orth is not None):
+        if lsq and (direction == DirectionKind.GRADIENT or orth):
             g = obj.smooth_grad(atr, x)
         if direction == DirectionKind.PCD:
             cols = [(pcd_direction(x, atr, pcd_recip, obj.mu, pcd_out, work),
@@ -184,13 +167,12 @@ def run_sesop(obj, x0, config=None, callback=None, aux_metric=None):
             cols = [(d_ssf, "ssf", None)]
         else:
             cols = [(-g, "gradient", None)]
-        if orth is not None:
-            wdir, tstep = dir_orth_update(orth, x, g)
+        if orth:
+            wdir, tstep = dir_orth_update(orth_state, x, g)
             cols.append((wdir, "orth_wgrad", None))
             cols.append((tstep, "orth_tstep", None if p is None else p - p_start))
 
-        frame = build_frame(x, cols, hist, cfg.history, op=op,
-                            with_products=op is not None)
+        frame = build_frame(x, cols, hist, op=op)
         res = subspace_minimize(obj, frame, max_inner=FRAME_NEWTON_STEPS,
                                 residual=p, f_base=f)
         rec.note(res.events)

@@ -2,22 +2,25 @@
 
 A frame is the affine search set x_k + span(D) assembled from the current
 direction(s) and recent history. Columns are normalized and selected by
-the modified Gram-Schmidt rule (drop tolerance 1e-10): the surviving
+the modified Gram-Schmidt rule (drop tolerance DROP_TOL): the surviving
 normalized original columns stay as the working basis, which keeps cached
 operator products valid under the rescaling. History steps are stored
 normalized once, with their products, when they are pushed, in a store
 that also carries their Gram block; a frame's fresh columns go into the
 store's rows just above them, so a frame is usually a view of contiguous
-rows, certified from the carried inner products.
+rows, certified from the carried inner products. The store's length is
+the number of history steps a frame takes.
 
-Composite (||A x - b||^2 + mu ||x||_1) and linear-loss (sum phi(A x) +
-x^T Q x / 2) objectives share one reduced solve on the cached products
-A*D, as a square of one affine image of the point plus an elementwise sum
-over another: its Newton loop applies no operator, values the square
-exactly along each direction and a batch of Armijo trial points per pass
-over the elementwise image, and its step's product A*(D alpha) comes free
-to seed the history cache. Other smooth objectives use value/grad/hvp at
-full-space points. One damped Newton loop drives both solves.
+A frame built with an operator A carries the products A*D, and its solve
+runs on them alone; composite (||A x - b||^2 + mu ||x||_1) and linear-loss
+(sum phi(A x) + x^T Q x / 2) objectives are its users. That solve treats
+the objective as a square of one affine image of the point plus an
+elementwise sum over another: its Newton loop applies no operator, values
+the square exactly along each direction and a batch of Armijo trial points
+per pass over the elementwise image, and its step's product A*(D alpha)
+comes free to seed the history cache. A frame without products is solved
+on value/grad/hvp at full-space points. One damped Newton loop drives both
+solves, and every Armijo search shares ARMIJO_C1 and ARMIJO_RHO.
 """
 
 from __future__ import annotations
@@ -35,6 +38,13 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .core import CompositeObjective
+
+# a frame column within this distance of the span of the kept columns
+# before it is dropped
+DROP_TOL = 1e-10
+# Armijo sufficient-decrease constant and backtracking ratio of every search
+ARMIJO_C1 = 1e-4
+ARMIJO_RHO = 0.5
 
 __all__ = [
     "EmptySubspaceError",
@@ -82,10 +92,16 @@ class HistoryBuffer:
     frames drop it. The inner products of a step are taken once, at the
     first frame after its push, and those of fresh columns at their frame.
     The store also keeps the frame solve's arrays for the run.
+
+    ``max_len`` is the frame's history: the store holds the newest
+    ``max_len`` steps, and every frame built on it takes all of them. A
+    length of 0 keeps no step; a negative one raises ValueError.
     """
 
     def __init__(self, max_len=7):
         self.max_len = int(max_len)
+        if self.max_len < 0:
+            raise ValueError(f"history length must be >= 0, got {max_len}")
         # per slot, newest first: True (unit and product), False (unit
         # only) or None (rejected, no row)
         self._slots = []
@@ -203,20 +219,20 @@ class SubspaceFrame:
 _EPS = np.finfo(np.float64).eps
 
 
-def _independent(unit, gram, drop_tol):
+def _independent(unit, gram):
     """Indices of the rows modified Gram-Schmidt keeps, in order.
 
     Row j survives when its distance to the span of the surviving rows
-    before it exceeds ``drop_tol``. Every such distance is at least the
+    before it exceeds DROP_TOL. Every such distance is at least the
     smallest singular value of the whole stack, so when the Gram matrix
-    ``gram`` (a copy, changed here) less drop_tol^2 and a rounding margin
+    ``gram`` (a copy, changed here) less DROP_TOL^2 and a rounding margin
     still has a Cholesky factor, every row survives. Otherwise modified
     Gram-Schmidt runs on a copy of the rows, each survivor projected out of
     all later rows at once.
     """
     k, n = unit.shape
     if 0 < k <= n:
-        gram.ravel()[::k + 1] -= drop_tol * drop_tol + 8 * (n + k * k) * _EPS
+        gram.ravel()[::k + 1] -= DROP_TOL * DROP_TOL + 8 * (n + k * k) * _EPS
         with np.errstate(all="ignore"):
             factor = _umath_linalg.cholesky_lo(gram, signature="d->d")
         if not math.isnan(factor[0, 0]):  # NaN throughout when it fails
@@ -225,7 +241,7 @@ def _independent(unit, gram, drop_tol):
     kept = []
     for j in range(k):
         wn = float(np.linalg.norm(rest[j]))
-        if wn > drop_tol:
+        if wn > DROP_TOL:
             kept.append(j)
             q = rest[j] / wn
             rest[j + 1:] -= np.outer(rest[j + 1:] @ q, q)
@@ -240,16 +256,15 @@ def _rows(idx):
     return idx
 
 
-def build_frame(base, columns, history=None, max_history=None, *, op=None,
-                with_products=False, drop_tol=1e-10):
+def build_frame(base, columns, history=None, *, op=None):
     """Assemble and condition a subspace frame.
 
     ``columns`` is an iterable of (vector, tag, a_vector-or-None)
-    submissions in priority order; history steps (newest first, up to
-    ``max_history``) are appended after them. Columns are normalized, and
-    a column within ``drop_tol`` of the span of the kept columns before it
-    is dropped (the modified Gram-Schmidt rule on the normalized copies),
-    so duplicated directions collapse to one column.
+    submissions in priority order; every step the store ``history`` holds
+    (newest first) is appended after them. Columns are normalized, and a
+    column within DROP_TOL of the span of the kept columns before it is
+    dropped (the modified Gram-Schmidt rule on the normalized copies), so
+    duplicated directions collapse to one column.
 
     The fresh columns go into the store's rows above its history, so
     unless a history slot is empty the frame is contiguous rows: the
@@ -259,24 +274,20 @@ def build_frame(base, columns, history=None, max_history=None, *, op=None,
     on ``history``, which overwrite the rows. Without ``history`` a store
     is made for this frame alone.
 
-    With ``with_products`` the returned frame carries A @ basis, reusing
-    cached products where provided. The kept columns without one get
+    Given the operator ``op`` (A), the frame carries A @ basis, reusing
+    cached products where provided; without it the frame has no products
+    and the a_vectors are ignored. The kept columns without a product get
     theirs from a single block apply of A, so A is read once per frame and
     counted one matvec per fresh column. Basis and products are transposes
     of one-row-per-column arrays.
 
-    Raises EmptySubspaceError when nothing survives, and ValueError for a
-    negative ``max_history``.
+    Raises EmptySubspaceError when nothing survives.
     """
     base = np.asarray(base, dtype=np.float64)
-    if max_history is not None and max_history < 0:
-        raise ValueError(f"max_history must be >= 0, got {max_history}")
-    if with_products and op is None:
-        raise ValueError("with_products requires an operator")
     store = HistoryBuffer(0) if history is None else history
     cols = [(np.asarray(vec, dtype=np.float64), tag, avec)
             for vec, tag, avec in columns]
-    store._reserve(base.size, len(cols), op.rows if with_products else None)
+    store._reserve(base.size, len(cols), None if op is None else op.rows)
     units, prods, head = store._units, store._products, store._head
 
     # the usable columns in frame order: their position among the
@@ -290,13 +301,12 @@ def build_frame(base, columns, history=None, max_history=None, *, op=None,
             dropped.append(tag)
             continue
         np.divide(vec, nrm, out=units[row])
-        cached = with_products and avec is not None
+        cached = op is not None and avec is not None
         if cached:
             np.divide(np.asarray(avec, dtype=np.float64), nrm, out=prods[row])
         usable.append((i, tag, row, not cached))
         row += 1
-    held = store._slots if max_history is None else store._slots[:max_history]
-    for i, state in enumerate(held):
+    for i, state in enumerate(store._slots):
         tag = f"step-{i + 1}"
         if state is None:
             dropped.append(tag)
@@ -312,19 +322,19 @@ def build_frame(base, columns, history=None, max_history=None, *, op=None,
         gram = store._gram[span, span].copy()
     else:  # an empty history slot splits the rows
         gram = store._gram[np.ix_(rows, rows)]
-    sel = _independent(units[span], gram, drop_tol)
+    sel = _independent(units[span], gram)
     if not sel:
         raise EmptySubspaceError("empty subspace")
     if len(sel) < len(usable):
         kept = [usable[j] for j in sel]
         keep = {u[0] for u in kept}
         tags = [tag for _, tag, _ in cols] + [f"step-{i + 1}"
-                                              for i in range(len(held))]
+                                              for i in range(len(store))]
         dropped = [tag for i, tag in enumerate(tags) if i not in keep]
         usable, rows = kept, [u[2] for u in kept]
 
     products = None
-    if with_products:
+    if op is not None:
         need = [u[2] for u in usable if u[3]]
         if need:
             prods[_rows(need)] = op.apply(units[_rows(need)].T).T
@@ -346,16 +356,16 @@ class SubspaceResult:
     a_step: np.ndarray | None = None   # A D alpha, from the frame's products
 
 
-def _armijo_reduced(phi, alpha, delta, f0, slope, c1=1e-4, rho=0.5, max_bt=40):
+def _armijo_reduced(phi, alpha, delta, f0, slope, max_bt=40):
     """Backtrack t along delta in reduced coordinates; (alpha + t delta,
     its value) for the first t that passes, or None."""
     t = 1.0
     for _ in range(max_bt + 1):
         cand = alpha + t * delta
         f_new = phi(cand)
-        if f_new <= f0 + c1 * t * slope:
+        if f_new <= f0 + ARMIJO_C1 * t * slope:
             return cand, f_new
-        t *= rho
+        t *= ARMIJO_RHO
     return None
 
 
@@ -364,29 +374,31 @@ def subspace_minimize(obj, frame, inner_tol=1e-10, max_inner=20,
     """Minimize the objective over the affine frame by damped Newton from
     its base point (alpha = 0).
 
-    Composite and linear-loss objectives take the cached-products path:
-    the reduced gradient and Hessian are built from the frame's products
-    A*D and the carried image of the base point, so no operator is
-    applied during the inner loop. That path needs ``frame.products``;
-    ``residual`` is A x - b (composite) or A x (linear loss) at the base,
-    applied once when omitted, and the result carries it at the new point.
-    Other objectives use value/grad/hvp at full-space points. The result
+    A frame with products (built with an operator) takes the
+    cached-products path, for composite and linear-loss objectives: the
+    reduced gradient and Hessian are built from the frame's products A*D
+    and the carried image of the base point, so no operator is applied
+    during the inner loop. There ``residual`` is A x - b (composite) or
+    A x (linear loss) at the base, applied once when omitted, and the
+    result carries it at the new point. A frame without products is solved
+    on the objective's value/grad/hvp at full-space points. The result
     carries the step to push to the history: D alpha (x - base on the hvp
     path) as ``step`` and, with products, A D alpha as ``a_step``.
 
-    On the cached-products path the exact value is re-checked at the end
-    and the step is shrunk if smoothing or rounding ever made it an ascent
-    step, so the returned f never exceeds f at the base point: ``f_base``,
-    valued from the residual when it is omitted. Other objectives do not
-    read it. If Newton makes no step, a backtracking search along the
-    first frame column is attempted and the event is recorded.
+    ``f_base`` is f at the base point, valued when it is omitted. On the
+    cached-products path the exact value is re-checked at the end and the
+    step is shrunk if smoothing or rounding ever made it an ascent step,
+    so the returned f never exceeds ``f_base``. If Newton makes no step, a
+    backtracking search along the first frame column is attempted and the
+    event is recorded.
     """
     events = []
-    if isinstance(obj, CompositeObjective) or "linear_loss" in obj.capabilities:
+    if frame.products is not None:
         return _minimize_cached(obj, frame, inner_tol, max_inner, residual,
                                 f_base, events)
     if "hvp" not in obj.capabilities:
-        raise ValueError("subspace_minimize needs hvp for smooth objectives")
+        raise ValueError("the frame solve needs frame products or an "
+                         "objective with hvp")
 
     # C order keeps the summation order, and so the traces, of smooth runs
     d = np.ascontiguousarray(frame.basis)
@@ -396,7 +408,7 @@ def subspace_minimize(obj, frame, inner_tol=1e-10, max_inner=20,
     def phi(a):
         return obj.value(x0 + d @ a)
 
-    f_cur = phi(alpha)
+    f_cur = phi(alpha) if f_base is None else f_base
 
     def search(delta, slope, max_bt=40):
         nonlocal alpha, f_cur
@@ -460,7 +472,7 @@ def _newton_step(hess, g):
 
 
 _BATCH = 4  # Armijo trial points evaluated per pass over the full space
-_TRIALS = 0.5 ** np.arange(_BATCH)
+_TRIALS = ARMIJO_RHO ** np.arange(_BATCH)
 _FIRST_TRIALS = _TRIALS.tolist()
 _FIRST_COEF = np.stack((np.ones(_BATCH), _TRIALS), axis=1)  # rows (1, t)
 
@@ -599,9 +611,6 @@ def _minimize_cached(obj, frame, inner_tol, max_inner, residual, f_base,
     run, through ndarray.dot (np.dot's product without its dispatch) and
     positional ``out`` arguments, and sums by dot products.
     """
-    if frame.products is None:
-        raise ValueError("cached-products subspace minimization needs frame "
-                         "products")
     add, mul = np.add, np.multiply
     x0 = frame.base
     b = np.ascontiguousarray(frame.basis.T)  # one row per column
@@ -665,7 +674,7 @@ def _minimize_cached(obj, frame, inner_tol, max_inner, residual, f_base,
         prod = left.dot(right_t)
         return prod[k]
 
-    def search(delta, slope, max_bt=40, c1=1e-4):
+    def search(delta, slope, max_bt=40):
         """Armijo backtracking along delta; moves and returns True, or
         False without moving when no trial point passes."""
         nonlocal fr, f, moved
@@ -692,13 +701,13 @@ def _minimize_cached(obj, frame, inner_tol, max_inner, residual, f_base,
                 t = ts[i]
                 fr_t = fr + t * a1 + t * t * a2
                 f_new = fr_t + scale * (sums[i] - offset) if psi is not None else fr_t
-                if f_new <= f + c1 * t * slope:
+                if f_new <= f + ARMIJO_C1 * t * slope:
                     add(rho, (c2 * t) * u, rho)
                     fr, f = fr_t, f_new
                     steps.append((t, delta))
                     moved = i  # read only with psi
                     return True
-            t0 *= 0.5 ** nb
+            t0 *= ARMIJO_RHO ** nb
             left_bt -= nb
         return False
 
@@ -734,15 +743,15 @@ def _minimize_cached(obj, frame, inner_tol, max_inner, residual, f_base,
                           a_step=a_step)
 
 
-def line_search_backtracking(obj, x, d, f_x=None, g_x=None, c1=1e-4, rho=0.5,
-                             max_backtracks=60):
+def line_search_backtracking(obj, x, d, f_x=None, g_x=None):
     """Armijo backtracking from t = 1.
 
-    Accepts the first t = rho^j with f(x + t d) <= f(x) + c1 t <g, d>,
-    valuing the trial points through ``obj.line(x, d)``. Raises
-    LineSearchError before any trial when <g, d> is not finite and
+    Accepts the first t = ARMIJO_RHO^j with f(x + t d) <= f(x) +
+    ARMIJO_C1 t <g, d>, valuing the trial points through ``obj.line(x, d)``;
+    ``f_x`` and ``g_x`` are f and its gradient at x, valued when omitted.
+    Raises LineSearchError before any trial when <g, d> is not finite and
     ValueError when it is not negative; raises LineSearchError ("line
-    search failed") after ``max_backtracks`` shrinks.
+    search failed") after 60 shrinks.
 
     Returns (t, f_new).
     """
@@ -759,9 +768,9 @@ def line_search_backtracking(obj, x, d, f_x=None, g_x=None, c1=1e-4, rho=0.5,
         f_x = obj.value(x)
     phi = obj.line(x, d)
     t = 1.0
-    for _ in range(max_backtracks + 1):
+    for _ in range(61):  # t = 1 and 60 shrinks
         f_new = phi(t)
-        if f_new <= f_x + c1 * t * slope:
+        if f_new <= f_x + ARMIJO_C1 * t * slope:
             return t, f_new
-        t *= rho
+        t *= ARMIJO_RHO
     raise LineSearchError("line search failed")

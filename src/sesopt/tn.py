@@ -258,8 +258,9 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, grad_tol=1e-8, f_tol=0.0,
 
     After each truncated inner run the next iterate is the exact minimizer
     over the frame {truncated step, model gradient at the truncation
-    point, last inner direction, previous outer steps, previous gradient},
-    found by at most FRAME_NEWTON_STEPS damped Newton steps.
+    point, last inner direction, the ``outer_history`` previous outer
+    steps (ValueError when negative), previous gradient}, found by at most
+    FRAME_NEWTON_STEPS damped Newton steps.
     The last inner direction is offered only after two or more inner
     steps: after one it is the truncated step itself.
     The next inner run warm-starts from the two directions
@@ -284,6 +285,7 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, grad_tol=1e-8, f_tol=0.0,
         raise TypeError("subspace TN needs a smooth objective; pass .smoothed()")
     if "hvp" not in obj.capabilities:
         raise TypeError("truncated Newton needs Hessian-vector products")
+    hist = HistoryBuffer(outer_history)
     rec = Recorder(
         obj, f"name=sesop_tn,l_max={l_max},outer_history={outer_history}",
         f_tol=f_tol, max_iters=max_iters, max_steps=max_cum_steps,
@@ -306,7 +308,6 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, grad_tol=1e-8, f_tol=0.0,
     gnorm = gnorm0
     rec.stop_at = grad_tol * (1.0 + gnorm0)
 
-    hist = HistoryBuffer(max(outer_history, 1))
     prev_grad = None
     warm = None
     cum = 0
@@ -321,9 +322,7 @@ def run_sesop_tn(obj, x0, l_max=10, outer_history=2, grad_tol=1e-8, f_tol=0.0,
                 rec.inner_row(k, cum + j, q_run)
         cum += st.n_steps
 
-        frame = build_frame(x, frame_columns(st, prev_grad), hist,
-                            outer_history, op=op,
-                            with_products=op is not None)
+        frame = build_frame(x, frame_columns(st, prev_grad), hist, op=op)
         res = subspace_minimize(obj, frame, max_inner=FRAME_NEWTON_STEPS,
                                 residual=r, f_base=f)
         rec.note(res.events)

@@ -11,10 +11,9 @@ import time
 import numpy as np
 
 from sesopt import (CompositeObjective, DenseOperator, ProblemSpec,
-                    SesopConfig, check_gradient, make_expsquares,
-                    make_quadratic_ls, make_svm_smooth, run_linear_cg,
-                    run_sesop, run_steepest_descent, seeded_rng,
-                    write_trace_csv)
+                    check_gradient, make_expsquares, make_quadratic_ls,
+                    make_svm_smooth, run_linear_cg, run_sesop,
+                    run_steepest_descent, seeded_rng, write_trace_csv)
 from sesopt.bench import run_solver
 
 
@@ -113,9 +112,8 @@ def test_plain_sesop_with_one_step_memory_reproduces_cg_iterates():
                       f_offset=float(obj.b @ obj.b),
                       callback=lambda k, x: xs_cg.append(x.copy()))
         xs = []
-        cfg = SesopConfig(direction="gradient", history=1, grad_tol=0.0,
-                          max_iters=50)
-        run_sesop(obj, x0, cfg, callback=lambda k, x: xs.append(x.copy()))
+        run_sesop(obj, x0, direction="gradient", history=1, grad_tol=0.0,
+                  max_iters=50, callback=lambda k, x: xs.append(x.copy()))
         assert min(len(xs), len(xs_cg)) >= 51  # 50 iterations plus the start
         for k, (xa, xb) in enumerate(zip(xs, xs_cg)):
             dev = np.linalg.norm(xa - xb) / (1.0 + np.linalg.norm(xb))

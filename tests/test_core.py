@@ -134,6 +134,7 @@ def test_soft_threshold_vector_and_validation():
     with pytest.raises(ValueError):
         soft_threshold(1.0, -0.1)
     assert soft_threshold(0.0, 1.0) == 0.0
+    assert type(soft_threshold(np.float64(-0.7), 0.5)) is float  # scalar out
 
 
 # -- operators ---------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sesopt import (CallableObjective, CompositeObjective, DenseOperator,
-                    OrthState, SesopConfig, dir_orth_update, run_fista,
+                    OrthState, dir_orth_update, run_fista,
                     run_sesop, seeded_rng, soft_threshold)
 from sesopt.kernels import pcd_direction, pcd_reciprocals, ssf_direction
 
@@ -45,7 +45,7 @@ def test_pcd_matches_per_coordinate_minimizer():
 def test_pcd_preconditions():
     smooth = CallableObjective(3, value=lambda z: 0.0)
     with pytest.raises(TypeError):
-        run_sesop(smooth, np.zeros(3), SesopConfig(direction="pcd"))
+        run_sesop(smooth, np.zeros(3), direction="pcd")
 
     class NoColumns(DenseOperator):
         def column_norms_sq(self):
@@ -53,7 +53,7 @@ def test_pcd_preconditions():
 
     bad = CompositeObjective(NoColumns(np.eye(4)), np.zeros(4), mu=0.0)
     with pytest.raises(ValueError, match="column norms"):
-        run_sesop(bad, np.zeros(4), SesopConfig(direction="pcd"))
+        run_sesop(bad, np.zeros(4), direction="pcd")
 
 
 # -- SSF ----------------------------------------------------------------------
@@ -87,7 +87,7 @@ def test_ssf_validation():
         run_fista(obj, np.zeros(obj.dim), c=0.0)
     with pytest.raises(TypeError):
         run_sesop(CallableObjective(2, value=lambda z: 0.0), np.zeros(2),
-                  SesopConfig(direction="ssf"))
+                  direction="ssf")
 
 
 # -- ORTH ---------------------------------------------------------------------

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from sesopt import (CallableObjective, EmptySubspaceError, SesopConfig,
+from sesopt import (CallableObjective, EmptySubspaceError,
                     build_frame, make_expsquares, make_l1_ls,
                     make_quadratic_ls, make_svm_smooth, run_linear_cg,
                     run_sesop, seeded_rng, snr_db, subspace_minimize)
@@ -30,9 +30,8 @@ def test_history_one_matches_linear_cg():
     xs_cg = _cg_on_normal_equations(obj, x0, 50)
 
     xs = []
-    cfg = SesopConfig(direction="gradient", history=1, grad_tol=0.0,
-                      max_iters=50)
-    run_sesop(obj, x0, cfg, callback=lambda k, x: xs.append(x.copy()))
+    run_sesop(obj, x0, direction="gradient", history=1, grad_tol=0.0,
+              max_iters=50, callback=lambda k, x: xs.append(x.copy()))
 
     n_common = min(len(xs), len(xs_cg))
     assert n_common >= 30
@@ -46,19 +45,19 @@ def test_composite_directions_require_composite():
                                grad=lambda z: 2 * z, hvp=lambda z, v: 2 * v)
     for d in ("pcd", "ssf"):
         with pytest.raises(TypeError):
-            run_sesop(smooth, np.zeros(4), SesopConfig(direction=d))
+            run_sesop(smooth, np.zeros(4), direction=d)
     with pytest.raises(ValueError, match="'tn' is not a valid"):
-        run_sesop(smooth, np.zeros(4), SesopConfig(direction="tn"))
+        run_sesop(smooth, np.zeros(4), direction="tn")
     for d in ("cg", "newton"):
         with pytest.raises(ValueError, match="valid: gradient, pcd, ssf$"):
-            run_sesop(smooth, np.zeros(4), SesopConfig(direction=d))
+            run_sesop(smooth, np.zeros(4), direction=d)
 
 
 def test_composite_operator_budget_two_per_iteration():
     obj = make_l1_ls(30, 64, seed=8, mu=1e-4)
     for d in ("pcd", "ssf", "gradient"):
         _, trace = run_sesop(obj, np.zeros(64),
-                             SesopConfig(direction=d, max_iters=12, grad_tol=0.0))
+                             direction=d, max_iters=12, grad_tol=0.0)
         mv = trace.column("matvecs")
         assert mv[0] == 2  # initial residual + first adjoint
         assert np.all(np.diff(mv) == 2), d  # one adjoint + one frame product
@@ -67,8 +66,8 @@ def test_composite_operator_budget_two_per_iteration():
 def test_composite_orth_budget_three_per_iteration():
     obj = make_l1_ls(30, 64, seed=8, mu=1e-4)
     _, trace = run_sesop(obj, np.zeros(64),
-                         SesopConfig(direction="gradient", include_orth=True,
-                                     max_iters=12, grad_tol=0.0))
+                         direction="gradient", orth=True, max_iters=12,
+                         grad_tol=0.0)
     mv = trace.column("matvecs")
     # the total-step product is maintained for free; the weighted gradient
     # column costs the one extra application
@@ -79,7 +78,7 @@ def test_composite_reports_exact_objective():
     obj = make_l1_ls(30, 64, seed=9, mu=1e-3)
     xs = []
     _, trace = run_sesop(obj, np.zeros(64),
-                         SesopConfig(direction="pcd", max_iters=15, grad_tol=0.0),
+                         direction="pcd", max_iters=15, grad_tol=0.0,
                          callback=lambda k, x: xs.append(x.copy()))
     for rec, x in zip(trace.records, xs):
         want = float(np.sum((obj.op.matrix @ x - obj.b) ** 2))
@@ -91,8 +90,7 @@ def test_composite_reports_exact_objective():
 def test_composite_stationary_stop():
     obj = make_l1_ls(25, 50, seed=10, mu=1e-2)
     x, trace = run_sesop(obj, np.zeros(50),
-                         SesopConfig(direction="ssf", grad_tol=1e-9,
-                                     max_iters=4000))
+                         direction="ssf", grad_tol=1e-9, max_iters=4000)
     assert trace.header["status"] in ("stationary", "stalled")
     if trace.header["status"] == "stationary":
         assert trace.final.stat_norm <= 1e-9
@@ -105,8 +103,8 @@ def test_orth_columns_carry_k2_bound():
     lip = 2.0 * np.linalg.svd(obj.op.matrix, compute_uv=False)[0] ** 2
     bound_scale = lip * float(np.sum((x0 - x_opt) ** 2))
     _, trace = run_sesop(obj, x0,
-                         SesopConfig(direction="gradient", include_orth=True,
-                                     max_iters=100, grad_tol=0.0))
+                         direction="gradient", orth=True, max_iters=100,
+                         grad_tol=0.0)
     for rec in trace.records:
         if rec.iter == 0:
             continue
@@ -116,18 +114,18 @@ def test_orth_columns_carry_k2_bound():
 def test_stop_reasons():
     obj = make_l1_ls(25, 50, seed=12, mu=1e-3)
     _, trace = run_sesop(obj, np.zeros(50),
-                         SesopConfig(direction="ssf", f_tol=1e-4, grad_tol=0.0,
-                                     max_iters=5000))
+                         direction="ssf", f_tol=1e-4, grad_tol=0.0,
+                         max_iters=5000)
     assert trace.header["status"] == "f_tol"
 
     _, trace = run_sesop(obj, np.zeros(50),
-                         SesopConfig(direction="ssf", grad_tol=0.0,
-                                     max_iters=5000, max_matvecs=20))
+                         direction="ssf", grad_tol=0.0, max_iters=5000,
+                         max_matvecs=20)
     assert trace.header["status"] == "max_matvecs"
     assert trace.final.matvecs >= 20
 
     _, trace = run_sesop(obj, np.zeros(50),
-                         SesopConfig(direction="ssf", grad_tol=0.0, max_iters=3))
+                         direction="ssf", grad_tol=0.0, max_iters=3)
     assert trace.header["status"] == "max_iters"
     assert trace.final.iter == 3
 
@@ -136,7 +134,7 @@ def test_aux_metric_column():
     obj = make_l1_ls(25, 50, seed=13, mu=1e-3)
     metric = ("snr_db", lambda x: snr_db(obj.x_signal, x))
     _, trace = run_sesop(obj, np.zeros(50),
-                         SesopConfig(direction="pcd", max_iters=10, grad_tol=0.0),
+                         direction="pcd", max_iters=10, grad_tol=0.0,
                          aux_metric=metric)
     assert trace.aux_name == "snr_db"
     aux = trace.column("aux")
@@ -148,8 +146,8 @@ def test_aux_metric_column():
 def test_smooth_path_on_expsquares_gradient():
     obj = make_expsquares(30)
     x, trace = run_sesop(obj, np.zeros(30),
-                         SesopConfig(direction="gradient", history=7,
-                                     grad_tol=1e-8, max_iters=300))
+                         direction="gradient", history=7, grad_tol=1e-8,
+                         max_iters=300)
     assert trace.header["status"] == "stationary"
     gap = trace.final.f_value - obj.ground_truth.f_opt
     assert gap <= 1e-9
@@ -165,9 +163,9 @@ def test_linear_loss_cached_products_follow_the_hvp_path(make, orth):
     # a linear loss carries A x and solves its frames on cached products;
     # behind plain callables the same run takes the hvp path
     obj = make()
-    cfg = SesopConfig(include_orth=orth, grad_tol=0.0, max_iters=15)
-    _, tr = run_sesop(obj, np.zeros(obj.dim), cfg)
-    _, tr_h = run_sesop(callable_twin(obj), np.zeros(obj.dim), cfg)
+    cfg = dict(orth=orth, grad_tol=0.0, max_iters=15)
+    _, tr = run_sesop(obj, np.zeros(obj.dim), **cfg)
+    _, tr_h = run_sesop(callable_twin(obj), np.zeros(obj.dim), **cfg)
     assert len(tr) == len(tr_h) == 16
     assert tr.final.hvps == 0 < tr_h.final.hvps
     assert tr_h.final.matvecs == 0 < tr.final.matvecs
@@ -181,9 +179,8 @@ def test_smooth_sesop_stalls_once_the_iterate_stops_moving():
     e = make_expsquares(50)
     obj = CallableObjective(50, value=e._value, grad=e._grad, hvp=e._hvp)
     seen = []
-    cfg = SesopConfig(history=3, grad_tol=1e-14, max_iters=1500)
-    _, tr = run_sesop(obj, np.zeros(50), cfg,
-                      callback=lambda k, z: seen.append(z))
+    _, tr = run_sesop(obj, np.zeros(50), history=3, grad_tol=1e-14,
+                      max_iters=1500, callback=lambda k, z: seen.append(z))
     assert tr.header["status"] == "stalled"
     assert len(seen) == tr.final.iter + 1 > 100
     assert not any(np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
@@ -209,17 +206,17 @@ def _record_frame_solves(monkeypatch):
 def test_frame_solves_take_at_most_two_newton_steps(monkeypatch):
     solves = _record_frame_solves(monkeypatch)
     runs = [(make_l1_ls(60, 120, seed=3), np.zeros(120),
-             SesopConfig(direction=d, history=7, grad_tol=0.0, max_iters=150))
+             dict(direction=d, history=7, grad_tol=0.0, max_iters=150))
             for d in ("pcd", "ssf")]
     runs.append((make_expsquares(200), 0.5 * seeded_rng(1).standard_normal(200),
-                 SesopConfig(direction="gradient", include_orth=True,
-                             grad_tol=0.0, max_iters=150)))
+                 dict(direction="gradient", orth=True, grad_tol=0.0,
+                      max_iters=150)))
     for obj, x0, cfg in runs:
         solves.clear()
-        run_sesop(obj, x0, cfg)
+        run_sesop(obj, x0, **cfg)
         steps = [res.inner_iters for _, _, res in solves]
         assert len(steps) >= 20
-        assert max(steps) == 2, f"{cfg.direction}: {max(steps)} Newton steps"
+        assert max(steps) == 2, f"{cfg['direction']}: {max(steps)} Newton steps"
 
 
 def test_composite_history_products_stay_fresh(monkeypatch):
@@ -229,8 +226,8 @@ def test_composite_history_products_stay_fresh(monkeypatch):
     # which this instance does not provoke
     solves = _record_frame_solves(monkeypatch)
     obj = make_l1_ls(60, 120, seed=3)
-    run_sesop(obj, np.zeros(120), SesopConfig(direction="pcd", history=7,
-                                              grad_tol=0.0, max_iters=500))
+    run_sesop(obj, np.zeros(120), direction="pcd", history=7, grad_tol=0.0,
+              max_iters=500)
     assert len(solves) == 500
     worst = 0.0
     for _, frame, _ in solves:
@@ -248,8 +245,8 @@ def test_composite_history_product_error_stays_bounded(monkeypatch):
     # 600 and stays there (the difference push reached 6e-7 by 300)
     solves = _record_frame_solves(monkeypatch)
     obj = make_l1_ls(40, 80, seed=1)
-    run_sesop(obj, np.zeros(80), SesopConfig(direction="pcd", history=7,
-                                             grad_tol=0.0, max_iters=1000))
+    run_sesop(obj, np.zeros(80), direction="pcd", history=7, grad_tol=0.0,
+              max_iters=1000)
     assert len(solves) == 1000
     worst = 0.0
     for _, frame, _ in solves:
@@ -277,5 +274,5 @@ def test_composite_run_from_a_non_finite_start_ends_at_iteration_zero(
     x0 = np.zeros(60)
     x0[7] = bad
     with np.errstate(invalid="ignore"), pytest.raises(EmptySubspaceError):
-        run_sesop(obj, x0, SesopConfig(direction=direction))
+        run_sesop(obj, x0, direction=direction)
     assert len(frames) == 1

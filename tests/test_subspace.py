@@ -56,13 +56,13 @@ def test_drop_tolerance_holds_on_the_vectors(rng):
 
 
 def test_history_appended_newest_first(rng):
-    hist = HistoryBuffer(max_len=3)
+    hist = HistoryBuffer(max_len=2)
     steps = [rng.standard_normal(6) for _ in range(4)]
     for s in steps:
         hist.push_step(s)
-    assert len(hist) == 3  # ring buffer dropped the oldest
+    assert len(hist) == 2  # ring buffer dropped the oldest
     frame = build_frame(np.zeros(6), [(rng.standard_normal(6), "d", None)],
-                        history=hist, max_history=2)
+                        history=hist)
     assert frame.tags == ["d", "step-1", "step-2"]
     # step-1 is the newest push, normalized
     np.testing.assert_allclose(frame.basis[:, 1],
@@ -75,18 +75,15 @@ def test_products_cached_vs_fresh(rng):
     v = rng.standard_normal(6)
     av = a @ v
     op.counters.reset()
-    frame = build_frame(np.zeros(6), [(v, "d", av)], op=op, with_products=True)
+    frame = build_frame(np.zeros(6), [(v, "d", av)], op=op)
     assert op.counters.matvecs == 0  # cached product reused
     np.testing.assert_allclose(frame.products[:, 0], av / np.linalg.norm(v),
                                rtol=1e-14)
 
-    frame = build_frame(np.zeros(6), [(v, "d", None)], op=op, with_products=True)
+    frame = build_frame(np.zeros(6), [(v, "d", None)], op=op)
     assert op.counters.matvecs == 1  # fresh application
-    frame = build_frame(np.zeros(6), [(v, "d", None)], op=op, with_products=True)
+    frame = build_frame(np.zeros(6), [(v, "d", None)], op=op)
     assert op.counters.matvecs == 2  # no cache to reuse
-
-    with pytest.raises(ValueError):
-        build_frame(np.zeros(6), [(v, "d", None)], with_products=True)
 
 
 def test_mixed_cached_and_fresh_products_keep_value_order_and_layout(rng):
@@ -99,7 +96,7 @@ def test_mixed_cached_and_fresh_products_keep_value_order_and_layout(rng):
     hist = HistoryBuffer(max_len=2)
     step = rng.standard_normal(30)
     hist.push_step(step, a @ step)
-    frame = build_frame(np.zeros(30), cols, hist, op=op, with_products=True)
+    frame = build_frame(np.zeros(30), cols, hist, op=op)
     assert frame.tags == ["c0", "c1", "c2", "c3", "c4", "step-1"]
     assert frame.dropped == ["dup"]
     assert op.counters.matvecs == 3  # one per fresh column, in one apply
@@ -198,8 +195,7 @@ def test_store_frames_are_bitwise_those_of_stacking(n, max_len, orth,
             cols += [(rng.standard_normal(n), "orth_wgrad", None),
                      (total, "orth_tstep", a @ total if with_products else None)]
         x = rng.standard_normal(n)
-        frame = build_frame(x, cols, hist, max_len, op=op,
-                            with_products=with_products)
+        frame = build_frame(x, cols, hist, op=op)
         basis, products, tags, dropped = _stacked_frame(x, cols, pushed, max_len, op)
         np.testing.assert_array_equal(frame.basis, basis)
         assert frame.tags == tags and frame.dropped == dropped
@@ -236,7 +232,7 @@ def test_frames_are_views_valid_until_the_next_push():
         step = rng.standard_normal(10)
         hist.push_step(step, a @ step)
     frame = build_frame(np.zeros(10), [(rng.standard_normal(10), "d", None)],
-                        hist, op=op, with_products=True)
+                        hist, op=op)
     assert frame.tags == ["d", "step-1", "step-2"]
     assert np.shares_memory(frame.basis, hist._units)
     assert np.shares_memory(frame.products, hist._products)
@@ -244,7 +240,7 @@ def test_frames_are_views_valid_until_the_next_push():
     step = rng.standard_normal(10)
     hist.push_step(step, a @ step)
     build_frame(np.zeros(10), [(rng.standard_normal(10), "d", None)],
-                hist, op=op, with_products=True)
+                hist, op=op)
     assert not np.array_equal(frame.basis, basis)
     assert not np.array_equal(frame.products, products)
     # steps() hands out copies of the rows, newest first
@@ -274,7 +270,7 @@ def test_non_finite_pushes_never_reach_the_gram():
                          (inf_step, a @ inf_step), (2.0 * good + 1.0, bad_product)):
         hist.push_step(step, a_step)
     frame = build_frame(np.zeros(10), [(rng.standard_normal(10), "d", None)],
-                        hist, 4, op=op, with_products=True)
+                        hist, op=op)
     assert frame.tags == ["d", "step-4"]
     assert frame.dropped == ["step-1", "step-2", "step-3"]
     assert np.isfinite(frame.basis).all() and np.isfinite(frame.products).all()
@@ -320,7 +316,7 @@ def test_kept_solve_buffers_give_a_fresh_call_s_result():
             r0, f0 = _at_base(kind, obj, x0)
             cols = [(rng.standard_normal(obj.dim), f"d{i}", None)
                     for i in range(ncols)]
-            frame = build_frame(x0, cols, hist, 3, op=op, with_products=True)
+            frame = build_frame(x0, cols, hist, op=op)
             kept = subspace_minimize(obj, frame, residual=r0,
                                      f_base=f0 if kind == "l1" else None)
             fresh = subspace_minimize(
@@ -362,8 +358,7 @@ def test_two_column_solve_matches_dense_oracle():
     r0 = obj.residual(x0)
     d1 = seeded_rng(42).standard_normal(12)
     d2 = seeded_rng(43).standard_normal(12)
-    frame = build_frame(x0, [(d1, "d1", None), (d2, "d2", None)], op=obj.op,
-                        with_products=True)
+    frame = build_frame(x0, [(d1, "d1", None), (d2, "d2", None)], op=obj.op)
     res = subspace_minimize(obj, frame, residual=r0)
     # oracle: minimize ||r0 + (A D) alpha||^2 by the normal equations
     ad = a @ frame.basis
@@ -380,7 +375,7 @@ def test_single_gradient_column_is_cauchy_step():
     x0 = seeded_rng(44).standard_normal(9)
     r0 = obj.residual(x0)
     g = 2.0 * a.T @ r0
-    frame = build_frame(x0, [(-g, "grad", None)], op=obj.op, with_products=True)
+    frame = build_frame(x0, [(-g, "grad", None)], op=obj.op)
     res = subspace_minimize(obj, frame, residual=r0)
     h = 2.0 * a.T @ a
     t_star = float(g @ g) / float(g @ (h @ g))
@@ -394,7 +389,7 @@ def test_composite_inner_loop_applies_no_operators():
     atr = obj.op.adjoint(r0)
     cols = [(-atr, "grad", a @ (-atr))]
     before = obj.counters.matvecs
-    frame = build_frame(x0, cols, op=obj.op, with_products=True)
+    frame = build_frame(x0, cols, op=obj.op)
     res = subspace_minimize(obj, frame, residual=r0)
     assert obj.counters.matvecs == before  # cached products only
     assert res.f <= obj.value_from_residual(r0, x0)
@@ -413,7 +408,7 @@ def test_composite_exact_value_never_increases():
             cols = [(grad, "grad", None),
                     (seeded_rng(60 + seed).standard_normal(obj.dim), "noise",
                      None)]
-            frame = build_frame(x0, cols, op=op, with_products=True)
+            frame = build_frame(x0, cols, op=op)
             res = subspace_minimize(obj, frame, residual=r0)
             assert res.f <= f0 + 1e-12
 
@@ -428,7 +423,7 @@ def test_composite_solve_is_stationary_for_the_smoothed_objective():
     cols = [(-obj.op.adjoint(r0), "grad", None)]
     cols += [(seeded_rng(71 + i).standard_normal(obj.dim), f"d{i}", None)
              for i in range(3)]
-    frame = build_frame(x0, cols, op=obj.op, with_products=True)
+    frame = build_frame(x0, cols, op=obj.op)
     assert frame.size == 4
     before = obj.counters.matvecs
     res = subspace_minimize(obj, frame, residual=r0)
@@ -451,7 +446,7 @@ def test_composite_first_column_fallback_when_newton_makes_no_move():
         r0, f0 = _at_base(kind, obj, x0)
         cols = [(seeded_rng(76 + i).standard_normal(obj.dim), f"d{i}", None)
                 for i in range(3)]
-        frame = build_frame(x0, cols, op=op, with_products=True)
+        frame = build_frame(x0, cols, op=op)
         before = obj.counters.matvecs
         res = subspace_minimize(obj, frame, residual=r0, max_inner=0)
         assert obj.counters.matvecs == before
@@ -501,7 +496,7 @@ def test_linear_loss_solve_matches_hvp_newton_oracle(kind):
             (rng.standard_normal(obj.dim), "noise", None)]
     obj.counters.reset()
     z0 = a @ x0
-    frame = build_frame(x0, cols, hist, 2, op=obj.linear_map, with_products=True)
+    frame = build_frame(x0, cols, hist, op=obj.linear_map)
     assert frame.tags == ["grad", "noise", "step-1"]
     assert obj.counters.matvecs == 2  # the fresh columns only
     res = subspace_minimize(obj, frame, residual=z0, inner_tol=1e-14)
@@ -513,6 +508,19 @@ def test_linear_loss_solve_matches_hvp_newton_oracle(kind):
     np.testing.assert_allclose(res.x, x0 + frame.basis @ alpha_star, rtol=1e-10)
     np.testing.assert_allclose(res.residual, a @ res.x, rtol=1e-12, atol=1e-12)
     assert res.f == pytest.approx(obj.value(res.x), rel=1e-12)
+
+    # the same frame built without the operator has no products: its solve
+    # runs on full-space hvps and finds the same minimizer
+    bare = HistoryBuffer(2)
+    bare.push_step(step)
+    plain = build_frame(x0, cols, bare)
+    assert plain.products is None and plain.tags == frame.tags
+    np.testing.assert_array_equal(plain.basis, frame.basis)
+    obj.counters.reset()
+    res_h = subspace_minimize(obj, plain, inner_tol=1e-14)
+    assert obj.counters.hvps > 0 and res_h.residual is None
+    np.testing.assert_allclose(res_h.alpha, res.alpha, rtol=1e-10)
+    assert res_h.f == pytest.approx(res.f, rel=1e-12)
     if kind == "svm":
         # the solve crossed the hinge: rows on both sides at its start and end
         for w in (x0, res.x):
@@ -526,16 +534,9 @@ def test_linear_loss_trial_point_past_the_exponent_guard_raises():
     obj = make_expsquares(2)
     x0 = np.array([5000.0, -5000.0])
     frame = build_frame(x0, [(np.array([1.0, 0.0]), "e1", None)],
-                        op=obj.linear_map, with_products=True)
+                        op=obj.linear_map)
     with pytest.raises(OverflowError):
         subspace_minimize(obj, frame, residual=obj.linear_map.apply(x0))
-
-
-def test_linear_loss_needs_products():
-    obj = make_expsquares(5)
-    frame = build_frame(np.zeros(5), [(np.ones(5), "d", None)])
-    with pytest.raises(ValueError, match="products"):
-        subspace_minimize(obj, frame)
 
 
 def test_linear_loss_needs_a_nonnegative_quad_diag():
@@ -543,7 +544,7 @@ def test_linear_loss_needs_a_nonnegative_quad_diag():
     obj = make_expsquares(5)
     obj.quad_diag = obj.j2 * np.array([1.0, 1.0, -1.0, 1.0, 1.0])
     frame = build_frame(np.zeros(5), [(np.ones(5), "d", None)],
-                        op=obj.linear_map, with_products=True)
+                        op=obj.linear_map)
     with pytest.raises(ValueError, match="quad_diag"):
         subspace_minimize(obj, frame)
 
@@ -655,8 +656,7 @@ def test_exact_value_shrink_is_tallied_by_its_cause():
     a, b = rng.standard_normal((20, 10)), rng.standard_normal(20)
     comp = CompositeObjective(DenseOperator(a), b, mu=8.0, smoothing_eps=1.0)
     x0 = np.zeros(10)
-    frame = build_frame(x0, [(2.0 * a.T @ b, "grad", None)], op=comp.op,
-                        with_products=True)
+    frame = build_frame(x0, [(2.0 * a.T @ b, "grad", None)], op=comp.op)
     res = subspace_minimize(comp, frame)
     assert res.events == ["smoothing_shrink"]
     assert 0.0 < res.f < comp.value(x0)

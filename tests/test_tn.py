@@ -3,9 +3,9 @@ import pytest
 
 from sesopt import (CallableObjective, DenseOperator, HistoryBuffer,
                     InnerCgState, LinearLossObjective, QuadraticModel,
-                    SesopConfig, build_frame, inner_cg, make_expsquares,
-                    make_quadratic_ls, make_svm_smooth, run_linear_cg,
-                    run_sesop, run_sesop_tn, run_tn_classic, seeded_rng)
+                    build_frame, inner_cg, make_expsquares, make_quadratic_ls,
+                    make_svm_smooth, run_linear_cg, run_sesop, run_sesop_tn,
+                    run_tn_classic, seeded_rng)
 from sesopt.bench import run_solver
 from sesopt.tn import frame_columns
 
@@ -395,7 +395,7 @@ def test_degenerate_inner_state_still_builds_a_frame():
     st = InnerCgState(d=np.zeros(12), x_last=np.zeros(12), model_grad=g,
                       last_step=None, n_steps=0, neg_curvature=False)
     frame = build_frame(np.zeros(12), frame_columns(st, None),
-                        HistoryBuffer(2), 2)
+                        HistoryBuffer(2))
     assert frame.size == 1 and frame.tags == ["tn_model_grad"]
 
 
@@ -580,8 +580,8 @@ def test_sesop_tn_carried_map_stays_at_x_w():
     runs = {
         "sesop_tn": lambda o: run_sesop_tn(o, np.zeros(o.dim), l_max=3,
                                            grad_tol=0.0, max_iters=400),
-        "sesop": lambda o: run_sesop(o, np.zeros(o.dim),
-                                     SesopConfig(grad_tol=0.0, max_iters=400)),
+        "sesop": lambda o: run_sesop(o, np.zeros(o.dim), grad_tol=0.0,
+                                     max_iters=400),
     }
     for name, run in runs.items():
         svm = make_svm_smooth(400, 200, seed=2, c_penalty=100.0,

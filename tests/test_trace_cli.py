@@ -141,15 +141,20 @@ def test_run_solver_rejects_options_the_solver_does_not_read(spec, valid):
 @pytest.mark.parametrize("spec", ["sesop:direction=pcd,history=-1",
                                   "sesop_tn:outer_history=-1"])
 def test_negative_history_is_an_error(spec, tmp_path, capsys):
-    # a negative bound once kept no step, the same run as history=0
+    # a negative bound once kept no step, the same run as history=0; it is
+    # rejected before the first row, so also by a run that records no frame:
+    # one with no iterations, or one that starts stationary
     obj = make_l1_ls(40, 80, seed=1)
     if spec.startswith("sesop_tn"):
         obj = make_quadratic_ls(40, seed=1)
-    with pytest.raises(ValueError, match="max_history must be >= 0"):
-        run_solver(spec, obj, grad_tol=0.0, max_iters=5)
+    for budget in ({"grad_tol": 0.0, "max_iters": 5},
+                   {"grad_tol": 0.0, "max_iters": 0},
+                   {"grad_tol": 1e30, "max_iters": 5}):
+        with pytest.raises(ValueError, match="history length must be >= 0"):
+            run_solver(spec, obj, **budget)
     assert main(["--problem", "kind=quadratic_ls,n=20,seed=2", "--solver",
                  spec, "--out", str(tmp_path)]) == 1
-    assert "max_history must be >= 0" in capsys.readouterr().err
+    assert "history length must be >= 0" in capsys.readouterr().err
 
 
 def test_cg_spec_iteration_cap_never_raises_the_run_budgets():
