@@ -617,6 +617,9 @@ def _minimize_cached(obj, frame, inner_tol, max_inner, residual, f_base,
     p = np.ascontiguousarray(frame.products.T)
     k = b.shape[0]
     composite = isinstance(obj, CompositeObjective)
+    if not (composite or "linear_loss" in obj.capabilities):
+        raise ValueError("frame products need a composite or linear-loss "
+                         "objective")
     if residual is not None:
         r0 = np.asarray(residual, dtype=np.float64)
     else:

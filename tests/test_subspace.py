@@ -555,6 +555,11 @@ def test_smooth_path_requires_hvp():
     frame = build_frame(np.zeros(4), [(np.ones(4), "d", None)])
     with pytest.raises(ValueError, match="hvp"):
         subspace_minimize(no_hvp, frame)
+    # a frame with products is solved on them, which needs a linear map
+    frame = build_frame(np.zeros(4), [(np.ones(4), "d", None)],
+                        op=DenseOperator(np.eye(4)))
+    with pytest.raises(ValueError, match="linear-loss"):
+        subspace_minimize(no_hvp, frame)
 
 
 def test_smooth_path_takes_no_gradient_after_its_last_step():
