@@ -11,7 +11,7 @@ from sesopt import (CallableObjective, CompositeObjective, DenseOperator,
                     make_svm_smooth, run_nonlinear_cg, run_sesop_tn,
                     run_steepest_descent, seeded_rng, subspace_minimize)
 
-from sesopt.subspace import _newton_step
+from sesopt.subspace import DROP_TOL, _newton_step
 
 from conftest import small_l1, small_quadratic
 
@@ -120,7 +120,7 @@ def _normalized(vec, avec=None):
     return vec / nrm, None if avec is None else np.asarray(avec, dtype=np.float64) / nrm
 
 
-def _stacked_frame(base, columns, pushed, max_len, op=None, drop_tol=1e-10):
+def _stacked_frame(base, columns, pushed, max_len, op=None):
     """(basis, products, tags, dropped) from stacking every submission and
     the newest ``max_len`` pushes, each normalized, and the full Gram of
     the stack: the frame without a store. A push whose product is not
@@ -139,7 +139,7 @@ def _stacked_frame(base, columns, pushed, max_len, op=None, drop_tol=1e-10):
     sel = None
     if k <= n:
         gram = unit @ unit.T
-        gram.ravel()[::k + 1] -= drop_tol ** 2 + 8 * (n + k * k) * np.finfo(float).eps
+        gram.ravel()[::k + 1] -= DROP_TOL ** 2 + 8 * (n + k * k) * np.finfo(float).eps
         try:
             np.linalg.cholesky(gram)
             sel = list(range(k))
@@ -149,7 +149,7 @@ def _stacked_frame(base, columns, pushed, max_len, op=None, drop_tol=1e-10):
         rest, sel = unit.copy(), []
         for j in range(k):
             wn = float(np.linalg.norm(rest[j]))
-            if wn > drop_tol:
+            if wn > DROP_TOL:
                 sel.append(j)
                 q = rest[j] / wn
                 rest[j + 1:] -= np.outer(rest[j + 1:] @ q, q)
