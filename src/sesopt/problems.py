@@ -190,6 +190,10 @@ class _OnesRow(LinearOperator):
     def _apply(self, x):
         return np.add.reduce(x, keepdims=True)
 
+    def _apply_block(self, u):
+        # each column summed as a contiguous row, in the order of _apply
+        return np.add.reduce(np.ascontiguousarray(u.T), axis=1)[None, :]
+
     def _adjoint(self, y):
         return np.full(self.cols, y[0])
 
@@ -436,12 +440,16 @@ def make_svm_smooth(num_examples, num_features, seed, c_penalty=1.0,
     w_ref = rng.standard_normal(num_features)
     w_ref /= np.linalg.norm(w_ref)
     x_rows = rng.standard_normal((num_examples, num_features))
-    y = np.where(x_rows @ w_ref >= 0.0, 1.0, -1.0)
+    proj = x_rows @ w_ref
+    y = np.where(proj >= 0.0, 1.0, -1.0)
 
-    # push every point to margin distance from the separating hyperplane
-    gap = margin - y * (x_rows @ w_ref)
-    push = np.maximum(gap, 0.0)
-    x_rows += (push * y)[:, None] * w_ref[None, :]  # no third X-sized array
+    # push every point to margin distance from the separating hyperplane,
+    # one block of rows at a time so that X is the one X-sized array
+    gap = margin - y * proj
+    shift = np.maximum(gap, 0.0) * y
+    step = max(1, _BLOCK_BYTES // max(1, x_rows.strides[0]))
+    for s in range(0, num_examples, step):
+        x_rows[s:s + step] += shift[s:s + step, None] * w_ref[None, :]
 
     if violation_frac > 0:
         n_flip = int(round(violation_frac * num_examples))

@@ -45,6 +45,9 @@ DROP_TOL = 1e-10
 # Armijo sufficient-decrease constant and backtracking ratio of every search
 ARMIJO_C1 = 1e-4
 ARMIJO_RHO = 0.5
+# a frame's Newton loop stops once the reduced gradient's norm is at most
+# this times (1 + its norm at the base)
+FRAME_INNER_TOL = 1e-10
 
 __all__ = [
     "EmptySubspaceError",
@@ -369,10 +372,11 @@ def _armijo_reduced(phi, alpha, delta, f0, slope, max_bt=40):
     return None
 
 
-def subspace_minimize(obj, frame, inner_tol=1e-10, max_inner=20,
-                      residual=None, f_base=None):
+def subspace_minimize(obj, frame, max_inner=20, residual=None, f_base=None):
     """Minimize the objective over the affine frame by damped Newton from
-    its base point (alpha = 0).
+    its base point (alpha = 0), for at most ``max_inner`` steps and until
+    the reduced gradient's norm is at most FRAME_INNER_TOL times (1 + its
+    norm at the base).
 
     A frame with products (built with an operator) takes the
     cached-products path, for composite and linear-loss objectives: the
@@ -394,7 +398,7 @@ def subspace_minimize(obj, frame, inner_tol=1e-10, max_inner=20,
     """
     events = []
     if frame.products is not None:
-        return _minimize_cached(obj, frame, inner_tol, max_inner, residual,
+        return _minimize_cached(obj, frame, max_inner, residual,
                                 f_base, events)
     if "hvp" not in obj.capabilities:
         raise ValueError("the frame solve needs frame products or an "
@@ -419,7 +423,7 @@ def subspace_minimize(obj, frame, inner_tol=1e-10, max_inner=20,
 
     it = _newton(lambda: d.T @ obj.grad(x0 + d @ alpha),
                  lambda: d.T @ obj.hvp(x0 + d @ alpha, d),
-                 search, inner_tol, max_inner, events)
+                 search, max_inner, events)
     x = x0 + d @ alpha
     # the move made: the history keeps it, since D alpha can differ from it
     # in x's last digits, and runs at that floor then never stall
@@ -427,7 +431,7 @@ def subspace_minimize(obj, frame, inner_tol=1e-10, max_inner=20,
                           inner_iters=it, events=events, step=x - x0)
 
 
-def _newton(gradient, hessian, search, inner_tol, max_inner, events):
+def _newton(gradient, hessian, search, max_inner, events):
     """Damped Newton on a reduced objective from alpha = 0; the number of
     steps made.
 
@@ -439,7 +443,7 @@ def _newton(gradient, hessian, search, inner_tol, max_inner, events):
     """
     g = gradient()
     g_norm = math.sqrt(g.dot(g))
-    tol = inner_tol * (1.0 + g_norm)
+    tol = FRAME_INNER_TOL * (1.0 + g_norm)
     it = 0
     while it < max_inner and g_norm > tol:
         delta, slope = _newton_step(hessian(), g)
@@ -582,8 +586,7 @@ class _Loss:
         grad[:], weight[:] = self.obj.loss_derivatives(self.bufs.ey[0])
 
 
-def _minimize_cached(obj, frame, inner_tol, max_inner, residual, f_base,
-                     events):
+def _minimize_cached(obj, frame, max_inner, residual, f_base, events):
     """Damped Newton over the frame on cached products only.
 
     The objective is c |s|^2 + scale (psi(e) - offset) for two affine
@@ -714,8 +717,7 @@ def _minimize_cached(obj, frame, inner_tol, max_inner, residual, f_base,
             left_bt -= nb
         return False
 
-    it = _newton(gradient, lambda: prod[:k], search, inner_tol, max_inner,
-                 events)
+    it = _newton(gradient, lambda: prod[:k], search, max_inner, events)
     alpha = np.zeros(k)
     if steps:
         ts, deltas = zip(*steps)
