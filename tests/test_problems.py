@@ -107,27 +107,20 @@ def test_svm_separable_construction():
     assert p.hinge_sq_sum(2.0 * p.w_ref) == 0.0
 
 
-def _svm_data_one_line_push(num_examples, num_features, seed,
-                            violation_frac=0.05):
-    """make_svm_smooth's X and y, pushed with one X-sized temporary."""
-    rng = seeded_rng(seed)
-    w_ref = rng.standard_normal(num_features)
-    w_ref /= np.linalg.norm(w_ref)
-    x_rows = rng.standard_normal((num_examples, num_features))
-    y = np.where(x_rows @ w_ref >= 0.0, 1.0, -1.0)
-    push = np.maximum(1.0 - y * (x_rows @ w_ref), 0.0)
-    x_rows += (push * y)[:, None] * w_ref[None, :]
-    n_flip = int(round(violation_frac * num_examples))
-    flip = rng.choice(num_examples, size=n_flip, replace=False)
-    y[flip] = -y[flip]
-    return x_rows, y
-
-
 def test_svm_blocked_push_matches_one_line_push():
     # 2000 features: a 512 KiB row block holds 32 rows, so the 400 rows
     # take 13 blocks, the last one partial
     p = make_svm_smooth(400, 2000, seed=3)
-    x_rows, y = _svm_data_one_line_push(400, 2000, seed=3)
+    # the same data pushed with one X-sized temporary
+    rng = seeded_rng(3)
+    w_ref = rng.standard_normal(2000)
+    w_ref /= np.linalg.norm(w_ref)
+    x_rows = rng.standard_normal((400, 2000))
+    y = np.where(x_rows @ w_ref >= 0.0, 1.0, -1.0)
+    push = np.maximum(1.0 - y * (x_rows @ w_ref), 0.0)
+    x_rows += (push * y)[:, None] * w_ref[None, :]
+    flip = rng.choice(400, size=20, replace=False)  # 5% of the rows
+    y[flip] = -y[flip]
     np.testing.assert_array_equal(p.x_rows, x_rows)
     np.testing.assert_array_equal(p.y, y)
 
